@@ -5,36 +5,104 @@
 //! The identifier CoV is then defined as the average of all per-phase
 //! CoVs, weighted by how many intervals belong to each phase."
 
-use std::collections::BTreeMap;
-
 use crate::stats;
 
-/// Group per-interval (phase, CPI) pairs into per-phase CPI vectors.
-pub fn group_by_phase(pairs: &[(u32, f64)]) -> BTreeMap<u32, Vec<f64>> {
-    let mut m: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-    for &(p, cpi) in pairs {
-        m.entry(p).or_default().push(cpi);
+/// Reusable buffers for grouping a classified stream by phase. Grouping is
+/// stable: phases come out in ascending id order, each phase's CPIs in
+/// stream order, so per-phase sums are accumulated exactly as a
+/// `BTreeMap<u32, Vec<f64>>` grouping would accumulate them.
+#[derive(Debug, Clone, Default)]
+pub struct PhaseGroups {
+    /// CPIs regrouped phase by phase.
+    cpis: Vec<f64>,
+    /// Exclusive end of each non-empty phase's run in `cpis`.
+    ends: Vec<usize>,
+    /// Counting-sort offsets (dense ids) or the sorted stream (sparse ids).
+    counts: Vec<usize>,
+    sorted: Vec<(u32, f64)>,
+    /// Per-phase (CoV, interval count).
+    weighted: Vec<(f64, f64)>,
+}
+
+impl PhaseGroups {
+    /// The identifier CoV (per-phase CoV of CPI weighted by interval count)
+    /// and the number of distinct phases of a classified stream.
+    pub fn cov_and_phases(&mut self, pairs: &[(u32, f64)]) -> (f64, usize) {
+        if pairs.is_empty() {
+            return (0.0, 0);
+        }
+        self.group(pairs);
+        self.weighted.clear();
+        let mut start = 0;
+        for &end in &self.ends {
+            let cpis = &self.cpis[start..end];
+            self.weighted.push((stats::cov(cpis), cpis.len() as f64));
+            start = end;
+        }
+        (stats::weighted_mean(&self.weighted), self.weighted.len())
     }
-    m
+
+    /// Fill `cpis` and `ends`: a counting sort when the ids are dense (as
+    /// every detector's fresh-id numbering is), a stable sort otherwise.
+    fn group(&mut self, pairs: &[(u32, f64)]) {
+        let (lo, hi) = pairs
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &(p, _)| (lo.min(p), hi.max(p)));
+        let span = (hi - lo) as usize + 1;
+        self.cpis.clear();
+        self.ends.clear();
+        if span <= 4 * pairs.len() {
+            self.counts.clear();
+            self.counts.resize(span + 1, 0);
+            for &(p, _) in pairs {
+                self.counts[(p - lo) as usize + 1] += 1;
+            }
+            for k in 1..=span {
+                self.counts[k] += self.counts[k - 1];
+            }
+            self.cpis.resize(pairs.len(), 0.0);
+            for &(p, cpi) in pairs {
+                let at = &mut self.counts[(p - lo) as usize];
+                self.cpis[*at] = cpi;
+                *at += 1;
+            }
+            // `counts[k]` is now the end of phase `lo + k`'s run.
+            let mut prev = 0;
+            for &end in &self.counts[..span] {
+                if end > prev {
+                    self.ends.push(end);
+                    prev = end;
+                }
+            }
+        } else {
+            self.sorted.clear();
+            self.sorted.extend_from_slice(pairs);
+            self.sorted.sort_by_key(|&(p, _)| p);
+            for (k, &(p, cpi)) in self.sorted.iter().enumerate() {
+                if k > 0 && self.sorted[k - 1].0 != p {
+                    self.ends.push(k);
+                }
+                self.cpis.push(cpi);
+            }
+            self.ends.push(self.sorted.len());
+        }
+    }
+}
+
+/// [`PhaseGroups::cov_and_phases`] with fresh buffers.
+pub fn cov_and_phases(pairs: &[(u32, f64)]) -> (f64, usize) {
+    PhaseGroups::default().cov_and_phases(pairs)
 }
 
 /// The identifier CoV over a classified interval stream: per-phase CoV of
 /// CPI, weighted by interval count.
 pub fn identifier_cov(pairs: &[(u32, f64)]) -> f64 {
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let groups = group_by_phase(pairs);
-    let weighted: Vec<(f64, f64)> = groups
-        .values()
-        .map(|cpis| (stats::cov(cpis), cpis.len() as f64))
-        .collect();
-    stats::weighted_mean(&weighted)
+    cov_and_phases(pairs).0
 }
 
 /// Number of distinct phases in a classified stream.
 pub fn phase_count(pairs: &[(u32, f64)]) -> usize {
-    group_by_phase(pairs).len()
+    cov_and_phases(pairs).1
 }
 
 /// Fraction of intervals spent tuning, the x-axis alternative for CoV

@@ -1,14 +1,65 @@
 //! Property tests for the CoV machinery: bounds, relabeling invariance,
 //! and the degenerate extremes the paper calls out.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
-use dsm_analysis::cov::{identifier_cov, phase_count};
+use dsm_analysis::cov::{cov_and_phases, identifier_cov, phase_count, PhaseGroups};
 use dsm_analysis::curve::{CovCurve, CurvePoint};
 use dsm_analysis::stats;
 
+/// The oracle: group into a `BTreeMap<u32, Vec<f64>>` (ascending phase
+/// ids, stream order within a phase), then weight each phase's CoV of CPI
+/// by its interval count.
+fn btreemap_cov_and_phases(pairs: &[(u32, f64)]) -> (f64, usize) {
+    if pairs.is_empty() {
+        return (0.0, 0);
+    }
+    let mut groups: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
+    for &(p, cpi) in pairs {
+        groups.entry(p).or_default().push(cpi);
+    }
+    let weighted: Vec<(f64, f64)> = groups
+        .values()
+        .map(|cpis| (stats::cov(cpis), cpis.len() as f64))
+        .collect();
+    (stats::weighted_mean(&weighted), groups.len())
+}
+
+fn assert_bit_equal(pairs: &[(u32, f64)], groups: &mut PhaseGroups) {
+    let (cov, phases) = btreemap_cov_and_phases(pairs);
+    let (fused_cov, fused_phases) = groups.cov_and_phases(pairs);
+    prop_assert_eq!(fused_cov.to_bits(), cov.to_bits());
+    prop_assert_eq!(fused_phases, phases);
+    prop_assert_eq!(identifier_cov(pairs).to_bits(), cov.to_bits());
+    prop_assert_eq!(phase_count(pairs), phases);
+    prop_assert_eq!(cov_and_phases(pairs), (cov, phases));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn grouping_is_bit_equal_to_the_btreemap_oracle(
+        dense in prop::collection::vec((0u32..12, 0.01f64..100.0), 0..300),
+        sparse in prop::collection::vec((any::<u32>(), 0.01f64..100.0), 0..60),
+        offset in 0u32..4_000_000_000,
+        stride in 1u32..50,
+    ) {
+        // One reused buffer set across every stream, as the sweeps use it:
+        // dense ids (counting sort), sparse ids (stable sort), ids near
+        // u32::MAX, and a dense stream with gaps between its ids.
+        let mut groups = PhaseGroups::default();
+        assert_bit_equal(&dense, &mut groups);
+        assert_bit_equal(&sparse, &mut groups);
+        let shifted: Vec<(u32, f64)> =
+            dense.iter().map(|&(p, c)| (p.saturating_add(offset), c)).collect();
+        assert_bit_equal(&shifted, &mut groups);
+        let strided: Vec<(u32, f64)> = dense.iter().map(|&(p, c)| (p * stride, c)).collect();
+        assert_bit_equal(&strided, &mut groups);
+        assert_bit_equal(&dense, &mut groups);
+    }
 
     #[test]
     fn identifier_cov_is_nonnegative_and_bounded(

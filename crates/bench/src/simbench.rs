@@ -358,6 +358,23 @@ mod tests {
     }
 
     #[test]
+    fn readme_speedup_claim_matches_bench_sim_json() {
+        // The README states the recorded geomean; a re-recorded baseline
+        // must update the sentence with it.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let bench = std::fs::read_to_string(format!("{root}/BENCH_SIM.json")).unwrap();
+        let readme = std::fs::read_to_string(format!("{root}/README.md")).unwrap();
+        let geomean = dsm_harness::json::parse(&bench)
+            .unwrap()
+            .get("speedup_events_per_sec")
+            .and_then(|s| s.get("geomean"))
+            .and_then(Json::as_f64)
+            .expect("BENCH_SIM.json records speedup_events_per_sec.geomean");
+        let claim = format!("**{geomean}× geometric-mean events/sec**");
+        assert!(readme.contains(&claim), "README.md must state {claim}");
+    }
+
+    #[test]
     fn point_keys_are_stable() {
         assert_eq!(point_key(App::Lu, 2), "lu-2p");
         assert_eq!(point_key(App::Equake, 8), "equake-8p");

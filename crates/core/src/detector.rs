@@ -352,76 +352,6 @@ impl TraceClassifier {
             })
             .collect()
     }
-
-    /// Extension (not in the paper): classify on the *concatenation* of
-    /// the normalized BBV and the distance-weighted, normalized frequency
-    /// vector, under a single Manhattan threshold.
-    ///
-    /// The paper collapses `F·D·C` into the scalar DDS so the hardware
-    /// compares one number; keeping the vector preserves *which* homes were
-    /// hot, at the cost of `n` extra comparator lanes. `data_weight`
-    /// scales the data half relative to the code half (0 recovers plain
-    /// BBV behaviour; the combined vector then sums to `1 + data_weight`,
-    /// so thresholds live in `[0, 2(1 + data_weight)]`).
-    pub fn classify_proc_vector_ddv(
-        records: &[IntervalRecord],
-        dist_row: &[f64],
-        bbv_threshold: f64,
-        data_weight: f64,
-        footprint_vectors: usize,
-    ) -> Vec<u32> {
-        let mut table = FootprintTable::new(footprint_vectors);
-        // One scratch buffer for the data half, reused across intervals; the
-        // BBV half is never copied — the table compares `bbv ++ tail` with a
-        // fused pass per entry (`classify_split`), bit-identical to
-        // classifying the materialized concatenation.
-        let mut tail: Vec<f64> = Vec::new();
-        records
-            .iter()
-            .map(|r| {
-                // Distance-weighted access frequencies, normalized so the
-                // data half carries `data_weight` total mass.
-                tail.clear();
-                let mut total = 0.0;
-                for (&f, &d) in r.fvec.iter().zip(dist_row) {
-                    let w = f as f64 * d;
-                    total += w;
-                    tail.push(w);
-                }
-                // Every term is >= 0, so total == 0 means the tail is already
-                // all zeros (the unnormalizable case keeps a zero data half).
-                if total > 0.0 {
-                    for w in tail.iter_mut() {
-                        *w = *w / total * data_weight;
-                    }
-                }
-                table
-                    .classify_split(&r.bbv, &tail, 0.0, bbv_threshold, None)
-                    .phase_id
-            })
-            .collect()
-    }
-
-    /// Classify with an externally recomputed DDS per interval (ablations:
-    /// `C ≡ 1`, `D ≡ 1`, DDS-only).
-    pub fn classify_proc_with_dds(
-        records: &[IntervalRecord],
-        dds: &[f64],
-        thresholds: Thresholds,
-        footprint_vectors: usize,
-    ) -> Vec<u32> {
-        assert_eq!(records.len(), dds.len());
-        let mut table = FootprintTable::new(footprint_vectors);
-        records
-            .iter()
-            .zip(dds)
-            .map(|(r, &d)| {
-                table
-                    .classify(&r.bbv, d, thresholds.bbv, Some(thresholds.dds))
-                    .phase_id
-            })
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -767,39 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_ddv_splits_by_home_mix_and_zero_weight_recovers_bbv() {
-        let mut coll = TraceCollector::for_hypercube(4, DetectorGeometry::default());
-        // Same code, three intervals: home 0, home 0, home 3.
-        drive(&mut coll, 0, 7, &[0, 0, 0], 0);
-        drive(&mut coll, 0, 7, &[0, 0, 0], 1);
-        drive(&mut coll, 0, 7, &[3, 3, 3], 2);
-        let recs = &coll.records[0];
-        let dist = dsm_phase_sim_dist(4, 0);
-
-        // With data weight, the home-3 interval becomes its own phase.
-        let ids = TraceClassifier::classify_proc_vector_ddv(recs, &dist, 0.5, 1.0, 32);
-        assert_eq!(ids[0], ids[1]);
-        assert_ne!(ids[0], ids[2], "home mix must split same-code intervals");
-
-        // With zero weight it degenerates to the BBV-only result.
-        let v0 = TraceClassifier::classify_proc_vector_ddv(recs, &dist, 0.5, 0.0, 32);
-        let bbv = TraceClassifier::classify_proc(
-            recs,
-            DetectorMode::Bbv,
-            Thresholds::bbv_only(0.5),
-            32,
-        );
-        assert_eq!(v0, bbv);
-    }
-
-    /// Hypercube distance row for tests.
-    fn dsm_phase_sim_dist(n: usize, i: usize) -> Vec<f64> {
-        (0..n)
-            .map(|j| if i == j { 1.0 } else { 1.0 + ((i ^ j) as u64).count_ones() as f64 })
-            .collect()
-    }
-
-    #[test]
     fn publish_metrics_counts_classification_outcomes() {
         let mut d = OnlineDetector::new(
             1,
@@ -835,29 +732,5 @@ mod tests {
             assert!(!snap.enabled);
             assert!(snap.tracks.is_empty());
         }
-    }
-
-    #[test]
-    fn classify_with_external_dds_supports_ablations() {
-        let mut coll = TraceCollector::for_hypercube(2, DetectorGeometry::default());
-        drive(&mut coll, 0, 7, &[0], 0);
-        drive(&mut coll, 0, 7, &[1], 1);
-        let recs = &coll.records[0];
-        // With DDS forced equal, identical code collapses to one phase.
-        let ids = TraceClassifier::classify_proc_with_dds(
-            recs,
-            &[5.0, 5.0],
-            Thresholds { bbv: 0.5, dds: 0.1 },
-            32,
-        );
-        assert_eq!(ids[0], ids[1]);
-        // With DDS forced apart, the same intervals split.
-        let ids = TraceClassifier::classify_proc_with_dds(
-            recs,
-            &[5.0, 500.0],
-            Thresholds { bbv: 0.5, dds: 0.1 },
-            32,
-        );
-        assert_ne!(ids[0], ids[1]);
     }
 }

@@ -10,6 +10,9 @@
 //!   signatures with LRU replacement; intervals are classified against it
 //!   by Manhattan distance (and, for BBV+DDV, a DDS difference) under
 //!   pre-set thresholds.
+//! * [`replay`] — the same table replayed over interval indices against a
+//!   precomputed per-processor distance triangle: the offline threshold
+//!   sweeps' kernel, bit-identical to re-running the table.
 //! * [`ddv`] — **the paper's contribution**: the per-node Data Distribution
 //!   Vector. An n×n frequency matrix counts committed loads/stores by home
 //!   node on behalf of every requester; at interval end the requester
@@ -25,9 +28,10 @@
 //!   collector at any thread count.
 //! * [`predictor`] — phase predictors (last-phase and run-length Markov),
 //!   the paper's stated future-work direction.
-//! * [`working_set`], [`branch_count`] — the related-work baselines of
-//!   Dhodapkar & Smith (working-set signatures) and Balasubramonian et al.
-//!   (conditional branch counts).
+//! * [`working_set`] — Dhodapkar & Smith's working-set signatures, the
+//!   related-work baseline recorded per interval (the branch-count
+//!   baseline needs only the recorded branch total; both are swept by
+//!   `dsm-harness::sweep`).
 //! * [`context`] — save/restore of detector state across context switches
 //!   (the paper's multiprogramming note in §III-B).
 //! * [`stream`] — [`PhaseStream`]: one node's classified intervals in
@@ -35,13 +39,13 @@
 //!   the serve-side diagnosis sink both consume (`dsm-diagnose`).
 
 pub mod bbv;
-pub mod branch_count;
 pub mod context;
 pub mod ddv;
 pub mod detector;
 pub mod distance;
 pub mod footprint;
 pub mod predictor;
+pub mod replay;
 pub mod shard_collector;
 pub mod signature;
 pub mod stream;
@@ -55,6 +59,7 @@ pub use detector::{
     OnlineDetector, Thresholds, TraceClassifier, TraceCollector,
 };
 pub use footprint::{FootprintTable, Match};
+pub use replay::{DistanceTriangle, IndexReplay};
 pub use shard_collector::{DrainCounters, ShardedCollector};
 pub use signature::{ClassifierBank, IntervalSignature, SignatureExtractor};
 pub use stream::{PhaseStream, StreamError};

@@ -65,13 +65,6 @@ impl WsSignature {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
 
-    /// Overwrite this signature with `other`, reusing the existing word
-    /// buffer (both must have the same width).
-    pub fn copy_from(&mut self, other: &Self) {
-        assert_eq!(self.words.len(), other.words.len());
-        self.words.copy_from_slice(&other.words);
-    }
-
     /// Raw signature words (recorded into interval traces).
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -80,69 +73,6 @@ impl WsSignature {
     pub fn from_words(words: Vec<u64>) -> Self {
         assert!(!words.is_empty());
         Self { words }
-    }
-}
-
-/// Working-set phase detector: matches the incoming signature against a
-/// table of previously seen signatures (same structure as the footprint
-/// table, with relative signature distance instead of Manhattan distance).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorkingSetDetector {
-    table: Vec<(WsSignature, u32, u64)>, // (signature, phase_id, last_used)
-    capacity: usize,
-    clock: u64,
-    next_phase_id: u32,
-}
-
-impl WorkingSetDetector {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
-        Self { table: Vec::with_capacity(capacity), capacity, clock: 0, next_phase_id: 0 }
-    }
-
-    /// Classify an interval's signature under `threshold`; returns the
-    /// phase id (allocating a new one on a miss).
-    pub fn classify(&mut self, sig: &WsSignature, threshold: f64) -> u32 {
-        self.clock += 1;
-        let mut best: Option<(usize, f64)> = None;
-        for (i, (s, _, _)) in self.table.iter().enumerate() {
-            let d = sig.rel_distance(s);
-            if d < threshold && best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
-            }
-        }
-        if let Some((i, _)) = best {
-            self.table[i].2 = self.clock;
-            return self.table[i].1;
-        }
-        let id = self.next_phase_id;
-        self.next_phase_id += 1;
-        if self.table.len() < self.capacity {
-            self.table.push((sig.clone(), id, self.clock));
-        } else {
-            let lru = self
-                .table
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, t))| *t)
-                .map(|(i, _)| i)
-                .unwrap();
-            // Reuse the evicted signature's buffer when widths match (the
-            // steady state — signature geometry never changes mid-run).
-            let slot = &mut self.table[lru];
-            if slot.0.words.len() == sig.words.len() {
-                slot.0.copy_from(sig);
-            } else {
-                slot.0 = sig.clone();
-            }
-            slot.1 = id;
-            slot.2 = self.clock;
-        }
-        id
-    }
-
-    pub fn phases_allocated(&self) -> u32 {
-        self.next_phase_id
     }
 }
 
@@ -202,48 +132,6 @@ mod tests {
         }
         let d = a.rel_distance(&b);
         assert!(d > 0.0 && d < 1.0, "got {d}");
-    }
-
-    #[test]
-    fn detector_groups_similar_working_sets() {
-        let mut det = WorkingSetDetector::new(8);
-        let mut s1 = WsSignature::new(1024);
-        for bb in 0..20 {
-            s1.insert(bb);
-        }
-        let mut s2 = WsSignature::new(1024);
-        for bb in 0..20 {
-            s2.insert(bb);
-        }
-        s2.insert(99); // one extra block
-        let p1 = det.classify(&s1, 0.5);
-        let p2 = det.classify(&s2, 0.5);
-        assert_eq!(p1, p2);
-
-        let mut s3 = WsSignature::new(1024);
-        for bb in 1000..1020 {
-            s3.insert(bb);
-        }
-        let p3 = det.classify(&s3, 0.5);
-        assert_ne!(p1, p3);
-        assert_eq!(det.phases_allocated(), 2);
-    }
-
-    #[test]
-    fn lru_eviction_reuses_slot_and_assigns_fresh_id() {
-        let one_hot = |bb: u32| {
-            let mut s = WsSignature::new(1024);
-            s.insert(bb);
-            s
-        };
-        let (a, b, c) = (one_hot(1), one_hot(2), one_hot(3));
-        let mut det = WorkingSetDetector::new(2);
-        assert_eq!(det.classify(&a, 0.5), 0);
-        assert_eq!(det.classify(&b, 0.5), 1);
-        assert_eq!(det.classify(&c, 0.5), 2); // evicts a (LRU), reusing its slot
-        assert_eq!(det.classify(&c, 0.5), 2, "c must be resident after eviction");
-        assert_eq!(det.classify(&a, 0.5), 3, "a was evicted, so it is a new phase");
-        assert_eq!(det.phases_allocated(), 4);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub fn cluster(dist: &[Vec<f64>], threshold: f64) -> Vec<Vec<usize>> {
                 let d = linkage(dist, &clusters[i], &clusters[j]);
                 // Strict < keeps the lexicographically first minimal pair
                 // (clusters are ordered by min node id).
-                if best.map_or(true, |(bd, _, _)| d < bd) {
+                if best.is_none_or(|(bd, _, _)| d < bd) {
                     best = Some((d, i, j));
                 }
             }
@@ -84,7 +84,7 @@ pub fn outlier_scores(dist: &[Vec<f64>]) -> Vec<f64> {
         .collect()
 }
 
-fn median(values: &mut Vec<f64>) -> f64 {
+fn median(values: &mut [f64]) -> f64 {
     values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let n = values.len();
     if n == 0 {
@@ -188,7 +188,7 @@ pub fn flagged_range(
         {
             end = u;
         }
-        if best.map_or(true, |(s, e)| end - start > e - s) {
+        if best.is_none_or(|(s, e)| end - start > e - s) {
             best = Some((start, end));
         }
         t = end + 1;
@@ -217,10 +217,10 @@ mod tests {
     fn clustering_separates_an_outlier_and_is_deterministic() {
         // Nodes 0..3 close, node 4 far from everyone.
         let mut dist = vec![vec![0.0; 5]; 5];
-        for i in 0..5 {
-            for j in 0..5 {
+        for (i, row) in dist.iter_mut().enumerate() {
+            for (j, d) in row.iter_mut().enumerate() {
                 if i != j {
-                    dist[i][j] = if i == 4 || j == 4 { 0.8 } else { 0.02 };
+                    *d = if i == 4 || j == 4 { 0.8 } else { 0.02 };
                 }
             }
         }
@@ -236,8 +236,8 @@ mod tests {
     fn tie_breaks_favor_smallest_node_ids() {
         // Two equidistant pairs: (0,1) and (2,3) at the same linkage.
         let mut dist = vec![vec![0.5; 4]; 4];
-        for i in 0..4 {
-            dist[i][i] = 0.0;
+        for (i, row) in dist.iter_mut().enumerate() {
+            row[i] = 0.0;
         }
         dist[0][1] = 0.1;
         dist[1][0] = 0.1;

@@ -16,7 +16,7 @@
 //!   every delivery), and the finish cycle is reported so livelock would
 //!   surface as a runaway slowdown factor.
 
-use dsm_analysis::cov::{identifier_cov, phase_count};
+use dsm_analysis::cov::PhaseGroups;
 use dsm_phase::detector::{DetectorMode, Thresholds, TraceClassifier};
 use dsm_phase::DEFAULT_FOOTPRINT_VECTORS;
 use dsm_sim::config::FaultPlan;
@@ -72,6 +72,7 @@ pub fn classified_cov(
     mode: DetectorMode,
     thresholds: Thresholds,
 ) -> (f64, f64) {
+    let mut groups = PhaseGroups::default();
     let mut covs = Vec::new();
     let mut phases = Vec::new();
     for recs in &trace.records {
@@ -80,8 +81,9 @@ pub fn classified_cov(
         }
         let ids = TraceClassifier::classify_proc(recs, mode, thresholds, DEFAULT_FOOTPRINT_VECTORS);
         let pairs: Vec<(u32, f64)> = ids.iter().zip(recs).map(|(&id, r)| (id, r.cpi())).collect();
-        covs.push(identifier_cov(&pairs));
-        phases.push(phase_count(&pairs) as f64);
+        let (cov, n_phases) = groups.cov_and_phases(&pairs);
+        covs.push(cov);
+        phases.push(n_phases as f64);
     }
     let n = covs.len().max(1) as f64;
     (covs.iter().sum::<f64>() / n, phases.iter().sum::<f64>() / n)

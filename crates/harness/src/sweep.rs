@@ -7,17 +7,23 @@
 //! reported curve is the set of all grid points (its lower envelope is
 //! taken at plot time).
 //!
-//! Every threshold point is classified independently, so each sweep fans
-//! its inner loop out over [`crate::parallel::par_map`]; results come back
-//! in threshold order, keeping curves byte-identical to a serial run.
+//! Every curve family is a footprint table replayed at each threshold, and
+//! a table entry is a copy of an earlier interval's signature. So each
+//! sweep computes a processor's pairwise interval distances once, as a
+//! [`DistanceTriangle`], and replays the table at every threshold by index
+//! lookups ([`IndexReplay`]) — bit-identical to re-running the table. The
+//! fan-out is over processors: each [`crate::parallel::par_map`] task
+//! builds one triangle (`n(n−1)/2 × 8` bytes for `n` intervals), replays
+//! every threshold, and drops it. Points are averaged in processor order,
+//! keeping curves byte-identical to a serial run.
 
-use dsm_analysis::cov::{identifier_cov, phase_count};
+use dsm_analysis::cov::PhaseGroups;
 use dsm_analysis::curve::{CovCurve, CurvePoint};
-use dsm_phase::branch_count::BranchCountDetector;
 use dsm_phase::ddv::DdvState;
-use dsm_phase::detector::{DetectorMode, IntervalRecord, Thresholds, TraceClassifier};
-use dsm_phase::working_set::{WorkingSetDetector, WsSignature};
-use dsm_phase::DEFAULT_FOOTPRINT_VECTORS;
+use dsm_phase::detector::IntervalRecord;
+use dsm_phase::distance::{manhattan_concat, relative_diff};
+use dsm_phase::working_set::WsSignature;
+use dsm_phase::{DistanceTriangle, IndexReplay, DEFAULT_FOOTPRINT_VECTORS};
 
 use crate::parallel::par_map;
 use crate::trace::SystemTrace;
@@ -37,33 +43,86 @@ pub fn log_spaced(n: usize, lo: f64, hi: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Classify every processor's records at one threshold and aggregate into
-/// one sweep point (mean per-processor identifier CoV and phase count).
-fn point_for<F>(trace: &SystemTrace, classify: F, bbv_thr: f64, dds_thr: Option<f64>) -> CurvePoint
-where
-    F: Fn(&[IntervalRecord]) -> Vec<u32>,
-{
-    let mut covs = Vec::with_capacity(trace.records.len());
-    let mut phase_counts = Vec::with_capacity(trace.records.len());
-    for proc_records in &trace.records {
-        if proc_records.is_empty() {
-            continue;
-        }
-        let ids = classify(proc_records);
-        let pairs: Vec<(u32, f64)> = ids
-            .iter()
-            .zip(proc_records)
-            .map(|(&id, r)| (id, r.cpi()))
-            .collect();
-        covs.push(identifier_cov(&pairs));
-        phase_counts.push(phase_count(&pairs) as f64);
+/// One sweep point's thresholds: the signature-distance threshold and, for
+/// the DDS-gated (BBV+DDV) families, the relative-DDS threshold.
+type SweepPoint = (f64, Option<f64>);
+
+/// What one processor's footprint table compares: the distance triangle
+/// over its intervals and, for DDS-gated points, each interval's DDS
+/// (empty when no point is gated).
+struct Signatures {
+    distances: DistanceTriangle,
+    dds: Vec<f64>,
+}
+
+impl Signatures {
+    fn ungated(distances: DistanceTriangle) -> Self {
+        Self { distances, dds: Vec::new() }
     }
-    let n = covs.len().max(1) as f64;
+}
+
+/// Sweep one curve family: replay every non-empty processor's table at
+/// every point of `thresholds` and aggregate per point.
+fn replay_curve<F>(
+    trace: &SystemTrace,
+    thresholds: Vec<SweepPoint>,
+    capacity: usize,
+    signatures: F,
+) -> CovCurve
+where
+    F: Fn(usize, &[IntervalRecord]) -> Signatures + Sync,
+{
+    let procs: Vec<usize> = (0..trace.records.len())
+        .filter(|&p| !trace.records[p].is_empty())
+        .collect();
+    let per_proc = par_map(procs, |p| {
+        let recs = &trace.records[p];
+        let Signatures { distances, dds } = signatures(p, recs);
+        let cpis: Vec<f64> = recs.iter().map(IntervalRecord::cpi).collect();
+        let mut table = IndexReplay::new(capacity);
+        let mut groups = PhaseGroups::default();
+        let (mut ids, mut pairs) = (Vec::new(), Vec::new());
+        thresholds
+            .iter()
+            .map(|&(thr, dds_thr)| {
+                let gate = |i: usize, j: usize| {
+                    dds_thr.is_none_or(|t| relative_diff(dds[i], dds[j]) < t)
+                };
+                table.run(&distances, thr, gate, &mut ids);
+                pairs.clear();
+                pairs.extend(ids.iter().copied().zip(cpis.iter().copied()));
+                groups.cov_and_phases(&pairs)
+            })
+            .collect::<Vec<_>>()
+    });
+    let points = thresholds
+        .iter()
+        .enumerate()
+        .map(|(k, &thr)| point_for(&per_proc, k, thr))
+        .collect();
+    CovCurve::new(points)
+}
+
+/// Aggregate sweep point `k`: the mean per-processor identifier CoV and
+/// phase count, summed in processor order.
+fn point_for(per_proc: &[Vec<(f64, usize)>], k: usize, thr: SweepPoint) -> CurvePoint {
+    let n = per_proc.len().max(1) as f64;
     CurvePoint {
-        phases: phase_counts.iter().sum::<f64>() / n,
-        cov: covs.iter().sum::<f64>() / n,
-        bbv_threshold: bbv_thr,
-        dds_threshold: dds_thr,
+        phases: per_proc.iter().map(|r| r[k].1 as f64).sum::<f64>() / n,
+        cov: per_proc.iter().map(|r| r[k].0).sum::<f64>() / n,
+        bbv_threshold: thr.0,
+        dds_threshold: thr.1,
+    }
+}
+
+/// BBV distances as the footprint table evaluates them (query first), with
+/// each interval's `dds` for the gated families (empty for the others).
+fn bbv_signatures(recs: &[IntervalRecord], dds: Vec<f64>) -> Signatures {
+    Signatures {
+        distances: DistanceTriangle::build(recs.len(), |i, j| {
+            manhattan_concat(&recs[i].bbv, &[], &recs[j].bbv)
+        }),
+        dds,
     }
 }
 
@@ -79,22 +138,9 @@ pub fn bbv_curve_with(trace: &SystemTrace, n_points: usize) -> CovCurve {
 
 /// Baseline BBV sweep with explicit point count and footprint capacity.
 pub fn bbv_curve_cap(trace: &SystemTrace, n_points: usize, capacity: usize) -> CovCurve {
-    let points = par_map(log_spaced(n_points, 1e-3, 2.0), |thr| {
-        point_for(
-            trace,
-            |recs| {
-                TraceClassifier::classify_proc(
-                    recs,
-                    DetectorMode::Bbv,
-                    Thresholds::bbv_only(thr),
-                    capacity,
-                )
-            },
-            thr,
-            None,
-        )
-    });
-    CovCurve::new(points)
+    replay_curve(trace, line(n_points, 1e-3, 2.0), capacity, |_, recs| {
+        bbv_signatures(recs, Vec::new())
+    })
 }
 
 /// BBV+DDV grid sweep (Figure 4).
@@ -114,27 +160,22 @@ pub fn bbv_ddv_curve_cap(
     n_dds: usize,
     capacity: usize,
 ) -> CovCurve {
-    let points = par_map(threshold_grid(n_bbv, n_dds), |(bbv_thr, dds_thr)| {
-        let t = Thresholds {
-            bbv: bbv_thr,
-            dds: dds_thr,
-        };
-        point_for(
-            trace,
-            |recs| TraceClassifier::classify_proc(recs, DetectorMode::BbvDdv, t, capacity),
-            bbv_thr,
-            Some(dds_thr),
-        )
-    });
-    CovCurve::new(points)
+    replay_curve(trace, threshold_grid(n_bbv, n_dds), capacity, |_, recs| {
+        bbv_signatures(recs, recs.iter().map(|r| r.dds).collect())
+    })
+}
+
+/// `n` log-spaced, ungated thresholds in `[lo, hi]`.
+fn line(n: usize, lo: f64, hi: f64) -> Vec<SweepPoint> {
+    log_spaced(n, lo, hi).into_iter().map(|t| (t, None)).collect()
 }
 
 /// The BBV × DDS threshold grid, flattened in row-major (BBV-outer) order.
-fn threshold_grid(n_bbv: usize, n_dds: usize) -> Vec<(f64, f64)> {
+fn threshold_grid(n_bbv: usize, n_dds: usize) -> Vec<SweepPoint> {
     let dds = log_spaced(n_dds, 5e-3, 1.0);
     log_spaced(n_bbv, 1e-3, 2.0)
         .into_iter()
-        .flat_map(|b| dds.iter().map(move |&d| (b, d)))
+        .flat_map(|b| dds.iter().map(move |&d| (b, Some(d))))
         .collect()
 }
 
@@ -164,129 +205,99 @@ pub fn ablated_dds(rec: &IntervalRecord, dist_row: &[f64], which: DdsAblation) -
 }
 
 /// BBV+DDV sweep with an ablated DDS formula (experiments A1/A2 in
-/// DESIGN.md).
+/// DESIGN.md): the table's DDS gate compares the ablated values.
 pub fn ablation_curve(trace: &SystemTrace, which: DdsAblation) -> CovCurve {
-    let n = trace.config.n_procs;
-    let ddv = DdvState::for_hypercube(n);
-    // Ablated DDS values depend only on the records, not on the
-    // thresholds — compute them once, outside the threshold fan-out.
-    let ablated: Vec<Vec<f64>> = trace
-        .records
-        .iter()
-        .enumerate()
-        .map(|(proc, recs)| {
-            recs.iter()
-                .map(|r| ablated_dds(r, ddv.dist_row(proc), which))
-                .collect()
-        })
-        .collect();
-    let points = par_map(
-        threshold_grid(DDV_GRID_BBV, DDV_GRID_DDS),
-        |(bbv_thr, dds_thr)| {
-            let t = Thresholds {
-                bbv: bbv_thr,
-                dds: dds_thr,
-            };
-            let mut covs = Vec::new();
-            let mut phase_counts = Vec::new();
-            for (recs, dds) in trace.records.iter().zip(&ablated) {
-                if recs.is_empty() {
-                    continue;
-                }
-                let ids = TraceClassifier::classify_proc_with_dds(
-                    recs,
-                    dds,
-                    t,
-                    DEFAULT_FOOTPRINT_VECTORS,
-                );
-                let pairs: Vec<(u32, f64)> =
-                    ids.iter().zip(recs).map(|(&id, r)| (id, r.cpi())).collect();
-                covs.push(identifier_cov(&pairs));
-                phase_counts.push(phase_count(&pairs) as f64);
-            }
-            let n = covs.len().max(1) as f64;
-            CurvePoint {
-                phases: phase_counts.iter().sum::<f64>() / n,
-                cov: covs.iter().sum::<f64>() / n,
-                bbv_threshold: bbv_thr,
-                dds_threshold: Some(dds_thr),
-            }
-        },
-    );
-    CovCurve::new(points)
+    let ddv = DdvState::for_hypercube(trace.config.n_procs);
+    let thresholds = threshold_grid(DDV_GRID_BBV, DDV_GRID_DDS);
+    replay_curve(trace, thresholds, DEFAULT_FOOTPRINT_VECTORS, |p, recs| {
+        let dds = recs
+            .iter()
+            .map(|r| ablated_dds(r, ddv.dist_row(p), which))
+            .collect();
+        bbv_signatures(recs, dds)
+    })
+}
+
+/// The data half of a vector-DDV signature: distance-weighted access
+/// frequencies, normalized so they carry `data_weight` total mass (all
+/// zeros when the interval made no accesses).
+fn vector_ddv_tail(fvec: &[u64], dist_row: &[f64], data_weight: f64) -> Vec<f64> {
+    let mut tail = Vec::with_capacity(fvec.len());
+    let mut total = 0.0;
+    for (&f, &d) in fvec.iter().zip(dist_row) {
+        let w = f as f64 * d;
+        total += w;
+        tail.push(w);
+    }
+    // Every term is >= 0, so total == 0 means the tail is already all zeros.
+    if total > 0.0 {
+        for w in tail.iter_mut() {
+            *w = *w / total * data_weight;
+        }
+    }
+    tail
 }
 
 /// Vector-DDV extension sweep (X8 in DESIGN.md): classification on the
 /// concatenated BBV ‖ distance-weighted frequency vector, swept over the
 /// combined Manhattan threshold at a fixed data weight.
+///
+/// The paper collapses `F·D·C` into the scalar DDS so the hardware compares
+/// one number; keeping the vector preserves *which* homes were hot, at the
+/// cost of `n` extra comparator lanes. `data_weight` scales the data half
+/// relative to the code half (0 recovers plain BBV behaviour; the combined
+/// vector then sums to `1 + data_weight`, so thresholds live in
+/// `[0, 2(1 + data_weight)]`).
 pub fn vector_ddv_curve(trace: &SystemTrace, data_weight: f64) -> CovCurve {
-    let n = trace.config.n_procs;
-    let ddv = DdvState::for_hypercube(n);
-    let points = par_map(
-        log_spaced(BBV_SWEEP_POINTS, 1e-3, 2.0 * (1.0 + data_weight)),
-        |thr| {
-            let mut covs = Vec::new();
-            let mut phase_counts = Vec::new();
-            for (proc, recs) in trace.records.iter().enumerate() {
-                if recs.is_empty() {
-                    continue;
-                }
-                let ids = TraceClassifier::classify_proc_vector_ddv(
-                    recs,
-                    ddv.dist_row(proc),
-                    thr,
-                    data_weight,
-                    DEFAULT_FOOTPRINT_VECTORS,
-                );
-                let pairs: Vec<(u32, f64)> =
-                    ids.iter().zip(recs).map(|(&id, r)| (id, r.cpi())).collect();
-                covs.push(identifier_cov(&pairs));
-                phase_counts.push(phase_count(&pairs) as f64);
-            }
-            let n = covs.len().max(1) as f64;
-            CurvePoint {
-                phases: phase_counts.iter().sum::<f64>() / n,
-                cov: covs.iter().sum::<f64>() / n,
-                bbv_threshold: thr,
-                dds_threshold: None,
-            }
-        },
-    );
-    CovCurve::new(points)
+    let ddv = DdvState::for_hypercube(trace.config.n_procs);
+    let thresholds = line(BBV_SWEEP_POINTS, 1e-3, 2.0 * (1.0 + data_weight));
+    replay_curve(trace, thresholds, DEFAULT_FOOTPRINT_VECTORS, |p, recs| {
+        let tails: Vec<Vec<f64>> = recs
+            .iter()
+            .map(|r| vector_ddv_tail(&r.fvec, ddv.dist_row(p), data_weight))
+            .collect();
+        // A stored entry is the materialized concatenation; the query is
+        // compared in two segments, exactly as the table does.
+        let sigs: Vec<Vec<f64>> = recs
+            .iter()
+            .zip(&tails)
+            .map(|(r, t)| [r.bbv.as_slice(), t.as_slice()].concat())
+            .collect();
+        Signatures::ungated(DistanceTriangle::build(recs.len(), |i, j| {
+            manhattan_concat(&recs[i].bbv, &tails[i], &sigs[j])
+        }))
+    })
 }
 
-/// Working-set-signature baseline sweep (Dhodapkar & Smith, experiment A4).
+/// Working-set-signature baseline sweep (Dhodapkar & Smith, experiment
+/// A4): intervals match on the relative signature distance
+/// `|A Δ B| / |A ∪ B|` of their instruction working sets.
 pub fn working_set_curve(trace: &SystemTrace) -> CovCurve {
-    let points = par_map(log_spaced(BBV_SWEEP_POINTS, 1e-3, 1.0), |thr| {
-        point_for(
-            trace,
-            |recs| {
-                let mut det = WorkingSetDetector::new(DEFAULT_FOOTPRINT_VECTORS);
-                recs.iter()
-                    .map(|r| det.classify(&WsSignature::from_words(r.ws_sig.clone()), thr))
-                    .collect()
-            },
-            thr,
-            None,
-        )
-    });
-    CovCurve::new(points)
+    let thresholds = line(BBV_SWEEP_POINTS, 1e-3, 1.0);
+    replay_curve(trace, thresholds, DEFAULT_FOOTPRINT_VECTORS, |_, recs| {
+        let sigs: Vec<WsSignature> = recs
+            .iter()
+            .map(|r| WsSignature::from_words(r.ws_sig.clone()))
+            .collect();
+        Signatures::ungated(DistanceTriangle::build(sigs.len(), |i, j| {
+            sigs[i].rel_distance(&sigs[j])
+        }))
+    })
 }
 
-/// Branch-count baseline sweep (Balasubramonian et al., experiment A4).
+/// Branch-count baseline sweep (Balasubramonian et al., experiment A4):
+/// the signature is the interval's committed branch count, and intervals
+/// match on the relative difference of their counts. The cheapest and
+/// least discriminating detector — different code with similar branch
+/// density is confused.
 pub fn branch_count_curve(trace: &SystemTrace) -> CovCurve {
-    let points = par_map(log_spaced(BBV_SWEEP_POINTS, 1e-4, 1.0), |thr| {
-        point_for(
-            trace,
-            |recs| {
-                let mut det = BranchCountDetector::new(DEFAULT_FOOTPRINT_VECTORS);
-                recs.iter().map(|r| det.classify(r.branches, thr)).collect()
-            },
-            thr,
-            None,
-        )
-    });
-    CovCurve::new(points)
+    let thresholds = line(BBV_SWEEP_POINTS, 1e-4, 1.0);
+    replay_curve(trace, thresholds, DEFAULT_FOOTPRINT_VECTORS, |_, recs| {
+        let counts: Vec<f64> = recs.iter().map(|r| r.branches as f64).collect();
+        Signatures::ungated(DistanceTriangle::build(counts.len(), |i, j| {
+            relative_diff(counts[i], counts[j])
+        }))
+    })
 }
 
 #[cfg(test)]
