@@ -52,6 +52,15 @@ pub enum DecisionKind {
     Lock { config: usize },
 }
 
+impl DecisionKind {
+    /// The configuration trialled or locked.
+    pub fn config(self) -> usize {
+        match self {
+            DecisionKind::Trial { config } | DecisionKind::Lock { config } => config,
+        }
+    }
+}
+
 /// One entry of the decision log.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Decision {
@@ -81,6 +90,15 @@ enum PhaseState {
     Locked(usize),
 }
 
+impl PhaseState {
+    fn standing(&self) -> DecisionKind {
+        match *self {
+            PhaseState::Tuning { config, .. } => DecisionKind::Trial { config },
+            PhaseState::Locked(config) => DecisionKind::Lock { config },
+        }
+    }
+}
+
 /// Serializable mirror of one phase's protocol state (DSMCKPT5 carries a
 /// sorted vector of these so a resume continues mid-tuning bit-exactly).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -102,6 +120,26 @@ pub enum PhaseStateSnap {
 pub struct PhaseSnap {
     pub phase: u32,
     pub state: PhaseStateSnap,
+}
+
+/// `phase`'s state, entering it into tuning (and counting a re-tune) on its
+/// first arrival.
+fn state_of<'a>(
+    states: &'a mut FxHashMap<u32, PhaseState>,
+    retunes: &mut u64,
+    policy: TuningPolicy,
+    phase: u32,
+) -> &'a mut PhaseState {
+    states.entry(phase).or_insert_with(|| {
+        *retunes += 1;
+        PhaseState::Tuning {
+            config: 0,
+            trials_left: policy.trials_per_config,
+            best: (0, f64::INFINITY),
+            acc: 0.0,
+            acc_n: 0,
+        }
+    })
 }
 
 /// The per-phase trial/lock state machine plus its decision log.
@@ -139,6 +177,23 @@ impl Protocol {
         self.states.values().filter(|s| matches!(s, PhaseState::Locked(_))).count()
     }
 
+    /// The standing decision for `phase` — `Trial { config }` with the
+    /// config its next non-degraded interval trials while it is tuning,
+    /// `Lock { config }` once it has locked — or `None` for a phase never
+    /// observed (which would start by trialling config 0).
+    pub fn running(&self, phase: u32) -> Option<DecisionKind> {
+        self.states.get(&phase).map(PhaseState::standing)
+    }
+
+    /// Enter `phase` into tuning if it has never been observed, counting it
+    /// as a re-tune but spending no trial and logging no decision; returns
+    /// its standing decision. A driver whose interval ran some other
+    /// phase's configuration uses this to start the phase without feeding
+    /// that foreign measurement to [`Protocol::observe`].
+    pub fn enter(&mut self, phase: u32) -> DecisionKind {
+        state_of(&mut self.states, &mut self.retunes, self.policy, phase).standing()
+    }
+
     /// Observe one classified interval: `score` is the measured cost of the
     /// configuration that phase is currently running (lower is better; the
     /// concrete loop passes the interval's CPI). Returns the configuration
@@ -152,20 +207,7 @@ impl Protocol {
             return None;
         }
         let policy = self.policy;
-        let mut entered = false;
-        let state = self.states.entry(phase).or_insert_with(|| {
-            entered = true;
-            PhaseState::Tuning {
-                config: 0,
-                trials_left: policy.trials_per_config,
-                best: (0, f64::INFINITY),
-                acc: 0.0,
-                acc_n: 0,
-            }
-        });
-        if entered {
-            self.retunes += 1;
-        }
+        let state = state_of(&mut self.states, &mut self.retunes, policy, phase);
         match state {
             PhaseState::Tuning { config, trials_left, best, acc, acc_n } => {
                 self.decisions.push(Decision {
@@ -308,6 +350,40 @@ mod tests {
             .collect();
         assert_eq!(trials, vec![0, 1, 2, 3]);
         assert_eq!(p.locked_phases(), 1);
+    }
+
+    #[test]
+    fn running_reports_the_standing_decision() {
+        let mut p = Protocol::new(TuningPolicy { n_configs: 2, trials_per_config: 1 });
+        assert_eq!(p.running(5), None);
+        assert_eq!(p.observe(0, 5, 2.0, false), Some(1));
+        assert_eq!(p.running(5), Some(DecisionKind::Trial { config: 1 }));
+        assert_eq!(p.observe(1, 5, 1.0, false), Some(1));
+        assert_eq!(p.running(5), Some(DecisionKind::Lock { config: 1 }));
+        assert_eq!(p.running(5).map(DecisionKind::config), Some(1));
+        // Querying never creates state.
+        assert_eq!(p.running(6), None);
+        assert_eq!(p.retunes(), 1);
+    }
+
+    #[test]
+    fn enter_starts_a_phase_without_spending_a_trial() {
+        let mut p = Protocol::new(TuningPolicy::default());
+        assert_eq!(p.enter(3), DecisionKind::Trial { config: 0 });
+        assert_eq!(p.retunes(), 1);
+        assert!(p.decisions().is_empty());
+        // Entering again is a no-op on a phase that already has state.
+        assert_eq!(p.enter(3), DecisionKind::Trial { config: 0 });
+        assert_eq!(p.retunes(), 1);
+        // The first observation after entering is the first trial, exactly
+        // as if the phase had arrived fresh.
+        let mut fresh = Protocol::new(TuningPolicy::default());
+        for i in 0..6 {
+            assert_eq!(p.observe(i, 3, i as f64, false), fresh.observe(i, 3, i as f64, false));
+        }
+        assert_eq!(p.decisions(), fresh.decisions());
+        assert_eq!(p.retunes(), fresh.retunes());
+        assert_eq!(p.enter(3), DecisionKind::Lock { config: 0 });
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub fn steady_state_allocs_per_interval() -> f64 {
 }
 
 /// Checkpoint round-trip throughput: encode (snapshot serialization) and
-/// decode+restore (rebuild a live system) times for one mid-run `DSMCKPT1`
+/// decode+restore (rebuild a live system) times for one mid-run `DSMCKPT5`
 /// checkpoint of test-scale LU at 4 processors, plus its size in bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct CkptRoundtrip {

@@ -16,28 +16,17 @@
 //! * **heterogeneous phases → bad locked configurations** (a phase whose
 //!   intervals differ wildly — high CoV — locks a config measured on
 //!   unrepresentative intervals and mispredicts the rest).
+//!
+//! The trial/lock state machine itself is [`dsm_adapt::Protocol`], the same
+//! one the concrete machine loop (`dsm_adapt::AdaptSession`) runs; this
+//! module is a thin driver that scores each trial on a synthetic cost
+//! surface ([`config_multiplier`]) and charges every interval's cycles.
 
-use dsm_adapt::{Decision, DecisionKind};
-use dsm_sim::util::{splitmix64, FxHashMap};
+use dsm_adapt::{Decision, DecisionKind, Protocol};
+use dsm_sim::util::splitmix64;
 use serde::{Deserialize, Serialize};
 
-/// Tuning-protocol knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TuningPolicy {
-    /// Number of hardware configurations to explore per phase.
-    pub n_configs: usize,
-    /// Intervals each configuration is tried for.
-    pub trials_per_config: usize,
-}
-
-impl Default for TuningPolicy {
-    fn default() -> Self {
-        Self {
-            n_configs: 4,
-            trials_per_config: 1,
-        }
-    }
-}
+pub use dsm_adapt::TuningPolicy;
 
 /// The hidden performance surface: multiplier applied to an interval's base
 /// cycles when configuration `c` runs during phase-ground `g`.
@@ -78,6 +67,33 @@ pub struct TuningOutcome {
 }
 
 impl TuningOutcome {
+    fn empty(total_intervals: usize) -> Self {
+        Self {
+            total_intervals,
+            tuning_intervals: 0,
+            tuned_cycles: 0.0,
+            oracle_cycles: 0.0,
+            untuned_cycles: 0.0,
+        }
+    }
+
+    /// Charge one interval that ran `config` against the tuned, oracle and
+    /// untuned totals; returns the interval's cost multiplier under
+    /// `config`.
+    fn charge(&mut self, policy: TuningPolicy, cpi: f64, insns: u64, config: usize) -> f64 {
+        let base = cpi * insns as f64;
+        let behaviour = behaviour_of(cpi);
+        // Oracle: best config for this interval's true behaviour.
+        let oracle = (0..policy.n_configs)
+            .map(|c| config_multiplier(behaviour, c))
+            .fold(f64::INFINITY, f64::min);
+        self.oracle_cycles += base * oracle;
+        self.untuned_cycles += base * config_multiplier(behaviour, 0);
+        let m = config_multiplier(behaviour, config);
+        self.tuned_cycles += base * m;
+        m
+    }
+
     /// Fraction of intervals spent tuning (the CoV-curve x-axis variant).
     pub fn tuning_fraction(&self) -> f64 {
         if self.total_intervals == 0 {
@@ -106,19 +122,6 @@ impl TuningOutcome {
     }
 }
 
-#[derive(Debug, Clone)]
-enum PhaseState {
-    /// Trying configs; accumulated (config, trials, total normalized cost).
-    Tuning {
-        config: usize,
-        trials_left: usize,
-        best: (usize, f64),
-        acc: f64,
-        acc_n: usize,
-    },
-    Locked(usize),
-}
-
 /// One classified interval as the abstract pipeline consumes it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TuningInterval {
@@ -139,103 +142,26 @@ pub struct TuningInterval {
 /// return the outcome plus the decision log. This is the canonical entry
 /// point; [`run_tuning`] is the degradation-free wrapper.
 ///
-/// The decision log uses the shared [`Decision`] type, so it is directly
-/// comparable (via [`Decision::key`]) with the one a concrete
-/// `dsm_adapt::AdaptSession` emits on the same classified stream — the
-/// transition structure is positional, so the two pipelines must agree
-/// even though they score trials differently.
+/// Each interval runs its phase's standing configuration (an unseen phase
+/// runs the default, config 0) and is scored on the cost surface; the
+/// [`Protocol`] decides trials and locks, so the decision log is the one a
+/// concrete `dsm_adapt::AdaptSession` emits on the same classified stream,
+/// compared via [`Decision::key`].
 pub fn run_tuning_stream(
     stream: &[TuningInterval],
     policy: TuningPolicy,
 ) -> (TuningOutcome, Vec<Decision>) {
-    assert!(policy.n_configs >= 1 && policy.trials_per_config >= 1);
-    let mut states: FxHashMap<u32, PhaseState> = FxHashMap::default();
-    let mut decisions = Vec::new();
-    let mut out = TuningOutcome {
-        total_intervals: stream.len(),
-        tuning_intervals: 0,
-        tuned_cycles: 0.0,
-        oracle_cycles: 0.0,
-        untuned_cycles: 0.0,
-    };
-
+    let mut protocol = Protocol::new(policy);
+    let mut out = TuningOutcome::empty(stream.len());
     for &TuningInterval { index, phase, cpi, insns, degraded } in stream {
-        let base = cpi * insns as f64;
-        let behaviour = behaviour_of(cpi);
-        // Oracle: best config for this interval's true behaviour.
-        let oracle = (0..policy.n_configs)
-            .map(|c| config_multiplier(behaviour, c))
-            .fold(f64::INFINITY, f64::min);
-        out.oracle_cycles += base * oracle;
-        out.untuned_cycles += base * config_multiplier(behaviour, 0);
-
-        if degraded {
-            // The interval ran under whatever configuration is in force
-            // (an unseen phase runs the default), but the tuning state is
-            // untouched: no trial consumed, no accumulator update, no
-            // decision, no phase entry created.
-            let current = match states.get(&phase) {
-                Some(PhaseState::Locked(c)) => *c,
-                Some(PhaseState::Tuning { config, .. }) => *config,
-                None => 0,
-            };
-            out.tuned_cycles += base * config_multiplier(behaviour, current);
-            continue;
-        }
-
-        let state = states.entry(phase).or_insert(PhaseState::Tuning {
-            config: 0,
-            trials_left: policy.trials_per_config,
-            best: (0, f64::INFINITY),
-            acc: 0.0,
-            acc_n: 0,
-        });
-        match state {
-            PhaseState::Tuning {
-                config,
-                trials_left,
-                best,
-                acc,
-                acc_n,
-            } => {
-                out.tuning_intervals += 1;
-                decisions.push(Decision {
-                    interval: index,
-                    phase,
-                    kind: DecisionKind::Trial { config: *config },
-                });
-                let m = config_multiplier(behaviour, *config);
-                out.tuned_cycles += base * m;
-                // Measure normalized cost (per-instruction) of this config.
-                *acc += m * cpi;
-                *acc_n += 1;
-                *trials_left -= 1;
-                if *trials_left == 0 {
-                    let mean = *acc / *acc_n as f64;
-                    if mean < best.1 {
-                        *best = (*config, mean);
-                    }
-                    if *config + 1 < policy.n_configs {
-                        *config += 1;
-                        *trials_left = policy.trials_per_config;
-                        *acc = 0.0;
-                        *acc_n = 0;
-                    } else {
-                        let locked = best.0;
-                        *state = PhaseState::Locked(locked);
-                        decisions.push(Decision {
-                            interval: index,
-                            phase,
-                            kind: DecisionKind::Lock { config: locked },
-                        });
-                    }
-                }
-            }
-            PhaseState::Locked(c) => {
-                out.tuned_cycles += base * config_multiplier(behaviour, *c);
-            }
-        }
+        let config = protocol.running(phase).map_or(0, DecisionKind::config);
+        let m = out.charge(policy, cpi, insns, config);
+        // Score = normalized (per-instruction) cost of the config that ran.
+        protocol.observe(index, phase, m * cpi, degraded);
     }
+    let decisions = protocol.decisions().to_vec();
+    out.tuning_intervals =
+        decisions.iter().filter(|d| matches!(d.kind, DecisionKind::Trial { .. })).count();
     (out, decisions)
 }
 
@@ -267,80 +193,26 @@ pub fn run_tuning_predicted(
     policy: TuningPolicy,
     predictor: &mut dyn dsm_phase::predictor::PhasePredictor,
 ) -> TuningOutcome {
-    assert!(policy.n_configs >= 1 && policy.trials_per_config >= 1);
-    let mut states: FxHashMap<u32, PhaseState> = FxHashMap::default();
-    let mut out = TuningOutcome {
-        total_intervals: stream.len(),
-        tuning_intervals: 0,
-        tuned_cycles: 0.0,
-        oracle_cycles: 0.0,
-        untuned_cycles: 0.0,
-    };
-
-    for &(phase, cpi, insns) in stream {
-        let base = cpi * insns as f64;
-        let behaviour = behaviour_of(cpi);
-        let oracle = (0..policy.n_configs)
-            .map(|c| config_multiplier(behaviour, c))
-            .fold(f64::INFINITY, f64::min);
-        out.oracle_cycles += base * oracle;
-        out.untuned_cycles += base * config_multiplier(behaviour, 0);
-
+    let mut protocol = Protocol::new(policy);
+    let mut out = TuningOutcome::empty(stream.len());
+    for (i, &(phase, cpi, insns)) in stream.iter().enumerate() {
         // The hardware applies the configuration of the *predicted* phase
-        // for this interval (default config when nothing is known yet).
+        // for this interval (the actual phase's own when the predicted one
+        // has never been seen).
         let predicted = predictor.predict().unwrap_or(phase);
-        let applied_config = match states.get(&predicted) {
-            Some(PhaseState::Locked(c)) => Some(*c),
-            Some(PhaseState::Tuning { config, .. }) => Some(*config),
-            None => None,
-        };
-
-        // Tuning progress is still tracked against the *actual* phase once
-        // the interval completes and is classified.
-        let state = states.entry(phase).or_insert(PhaseState::Tuning {
-            config: 0,
-            trials_left: policy.trials_per_config,
-            best: (0, f64::INFINITY),
-            acc: 0.0,
-            acc_n: 0,
-        });
-        match state {
-            PhaseState::Tuning {
-                config,
-                trials_left,
-                best,
-                acc,
-                acc_n,
-            } => {
-                out.tuning_intervals += 1;
-                let run_config = applied_config.unwrap_or(*config);
-                let m = config_multiplier(behaviour, run_config);
-                out.tuned_cycles += base * m;
-                // Only measurements taken under the phase's own trial
-                // config inform its selection.
-                if run_config == *config {
-                    *acc += m * cpi;
-                    *acc_n += 1;
-                    *trials_left -= 1;
-                    if *trials_left == 0 {
-                        let mean = *acc / (*acc_n).max(1) as f64;
-                        if mean < best.1 {
-                            *best = (*config, mean);
-                        }
-                        if *config + 1 < policy.n_configs {
-                            *config += 1;
-                            *trials_left = policy.trials_per_config;
-                            *acc = 0.0;
-                            *acc_n = 0;
-                        } else {
-                            *state = PhaseState::Locked(best.0);
-                        }
-                    }
-                }
-            }
-            PhaseState::Locked(c) => {
-                let run_config = applied_config.unwrap_or(*c);
-                out.tuned_cycles += base * config_multiplier(behaviour, run_config);
+        let applied = protocol.running(predicted);
+        // Tuning progress is tracked against the *actual* phase once the
+        // interval completes and is classified; its state exists from its
+        // first arrival, whatever config that interval ran.
+        let own = protocol.enter(phase);
+        let config = applied.unwrap_or(own).config();
+        let m = out.charge(policy, cpi, insns, config);
+        if let DecisionKind::Trial { config: trial } = own {
+            out.tuning_intervals += 1;
+            // Only measurements taken under the phase's own trial config
+            // inform its selection.
+            if config == trial {
+                protocol.observe(i as u64, phase, m * cpi, false);
             }
         }
         predictor.observe(phase);

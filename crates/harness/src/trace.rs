@@ -12,14 +12,21 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use dsm_phase::detector::{DetectorGeometry, IntervalRecord, TraceCollector};
+use dsm_sim::memctrl::MemCtrlStats;
+use dsm_sim::network::NetworkStats;
 use dsm_sim::stats::SystemStats;
 use dsm_sim::system::System;
+use dsm_simpoint::wire::{
+    get_app, get_directory_stats, get_fault_stats, get_proc_stats, get_reconfig_stats,
+    get_record, get_scale, put_app, put_directory_stats, put_fault_stats, put_proc_stats,
+    put_reconfig_stats, put_record, put_scale, CodecError, Reader, Writer, RECORD_MIN_BYTES,
+};
 use dsm_workloads::make_stream;
 
 use crate::experiment::ExperimentConfig;
 
 /// A captured run: per-processor interval records plus machine statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemTrace {
     pub config: ExperimentConfig,
     /// Interval records per processor, in interval order.
@@ -40,7 +47,110 @@ impl SystemTrace {
     pub fn min_intervals(&self) -> usize {
         self.records.iter().map(|r| r.len()).min().unwrap_or(0)
     }
+
+    /// Serialize to the `DSMTRC4` trace-store format. Deterministic: the
+    /// same trace always encodes to the same bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new(TRACE_MAGIC);
+        put_app(&mut w, self.config.app);
+        put_scale(&mut w, self.config.scale);
+        w.u64(self.config.n_procs as u64);
+        w.u64(self.config.interval_base);
+        w.u64(self.records.len() as u64);
+        for recs in &self.records {
+            w.u64(recs.len() as u64);
+            for rec in recs {
+                put_record(&mut w, rec);
+            }
+        }
+        let SystemStats { procs, directory, network, memctrls, faults, reconfig, finish_cycle } =
+            &self.stats;
+        w.u64(procs.len() as u64);
+        for p in procs {
+            put_proc_stats(&mut w, p);
+        }
+        put_directory_stats(&mut w, directory);
+        put_fault_stats(&mut w, faults);
+        let NetworkStats {
+            msgs,
+            payload_msgs,
+            total_hops,
+            link_wait_cycles,
+            total_flit_hops,
+            link_flits,
+        } = network;
+        for &x in [msgs, payload_msgs, total_hops, link_wait_cycles, total_flit_hops] {
+            w.u64(x);
+        }
+        w.vec_u64(link_flits);
+        w.u64(memctrls.len() as u64);
+        for &MemCtrlStats { requests, total_queue_delay } in memctrls {
+            w.u64(requests);
+            w.u64(total_queue_delay);
+        }
+        put_reconfig_stats(&mut w, reconfig);
+        w.u64(*finish_cycle);
+        w.u64(self.ddv_vectors_exchanged);
+        w.finish()
+    }
+
+    /// Decode a `DSMTRC4` buffer. Total: any input yields `Ok` or a typed
+    /// [`CodecError`]; never panics, never over-allocates on hostile lengths.
+    pub fn decode(bytes: &[u8]) -> Result<SystemTrace, CodecError> {
+        let mut r = Reader::open(bytes, TRACE_MAGIC, TRACE_FAMILY_LEN)?;
+        let app = get_app(&mut r)?;
+        let scale = get_scale(&mut r)?;
+        let n_procs = r.usize_checked("n_procs")?;
+        let interval_base = r.u64()?;
+        let records = r.vec(8, |r| r.vec(RECORD_MIN_BYTES, get_record))?;
+        // Each `ProcStats` is 14 counters.
+        let procs = r.vec(14 * 8, get_proc_stats)?;
+        if records.len() != n_procs || procs.len() != n_procs {
+            return Err(CodecError::BadValue { what: "trace sized for a different machine" });
+        }
+        let directory = get_directory_stats(&mut r)?;
+        let faults = get_fault_stats(&mut r)?;
+        let network = NetworkStats {
+            msgs: r.u64()?,
+            payload_msgs: r.u64()?,
+            total_hops: r.u64()?,
+            link_wait_cycles: r.u64()?,
+            total_flit_hops: r.u64()?,
+            link_flits: r.vec_u64()?,
+        };
+        let memctrls = r.vec(16, |r| {
+            Ok(MemCtrlStats { requests: r.u64()?, total_queue_delay: r.u64()? })
+        })?;
+        let reconfig = get_reconfig_stats(&mut r)?;
+        let finish_cycle = r.u64()?;
+        let ddv_vectors_exchanged = r.u64()?;
+        r.finish()?;
+        Ok(SystemTrace {
+            config: ExperimentConfig { app, n_procs, scale, interval_base },
+            records,
+            stats: SystemStats {
+                procs,
+                directory,
+                network,
+                memctrls,
+                faults,
+                reconfig,
+                finish_cycle,
+            },
+            ddv_vectors_exchanged,
+        })
+    }
 }
+
+/// Trace-store magic: the `DSMTRC` family, the version digit, and a
+/// newline. Version 2 added `DirectoryStats.nacks` and the fault counters;
+/// version 3 the route-aware fabric's flit counters; version 4 the
+/// reconfiguration counters. Any other version decodes as
+/// [`CodecError::UnsupportedVersion`], which the store treats as a miss.
+pub const TRACE_MAGIC: &[u8; 8] = b"DSMTRC4\n";
+
+/// Length of the version-independent `DSMTRC` family prefix.
+const TRACE_FAMILY_LEN: usize = 6;
 
 /// Run the simulation for `config` and capture its trace (uncached).
 pub fn capture(config: ExperimentConfig) -> SystemTrace {

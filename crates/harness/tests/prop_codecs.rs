@@ -1,28 +1,45 @@
-//! Property tests for the `DSMCKPT5` checkpoint codec: decoding is *total*
-//! (any input — random bytes, corrupted checkpoints, truncations — yields a
-//! typed error or a valid checkpoint, never a panic), and the encoding is
-//! canonical (whatever decodes re-encodes to the identical bytes).
+//! One corruption battery for both binary formats built on the codec kit
+//! (`dsm_simpoint::wire`): the `DSMCKPT5` checkpoint and the `DSMTRC4`
+//! trace-store entry. Every property runs over both:
+//!
+//! * decoding is *total* — random bytes, random bytes behind a valid magic,
+//!   single-byte corruptions and truncations yield a typed [`CodecError`]
+//!   or a valid value, never a panic;
+//! * encoding is deterministic and canonical — encode → decode is the
+//!   identity, whatever decodes re-encodes to the identical bytes, and
+//!   bytes after a complete value are an error;
+//! * the magic check tells another format (`BadMagic`) from another
+//!   version of the same format (`UnsupportedVersion`).
+//!
+//! Two golden hashes pin the byte layout of fixed fixtures, so a layout
+//! change cannot pass unnoticed.
 
 use proptest::prelude::*;
 
 use dsm_adapt::{AdaptSnap, Decision, DecisionKind, ObservedInterval, PhaseSnap, PhaseStateSnap};
+use dsm_harness::experiment::ExperimentConfig;
+use dsm_harness::parallel::fnv1a64;
+use dsm_harness::trace::{self, SystemTrace, TRACE_MAGIC};
 use dsm_phase::ddv::{DdvSnap, FrequencySnap};
 use dsm_phase::detector::{CollectorState, DetectorGeometry, IntervalRecord};
 use dsm_sim::config::{CoreConfig, FaultPlan};
-use dsm_sim::reconfig::{ReconfigSnap, ReconfigStats};
 use dsm_sim::directory::{DirState, DirectoryStats};
 use dsm_sim::event::Event;
+use dsm_sim::memctrl::MemCtrlStats;
+use dsm_sim::network::NetworkStats;
+use dsm_sim::reconfig::{ReconfigSnap, ReconfigStats};
 use dsm_sim::state::{
     BarrierSnap, CacheState, DirectoryState, FaultSnap, GshareState, HomeMapState, LockSnap,
     MemCtrlState, NetworkState, ProcessorState, SystemState,
 };
+use dsm_sim::stats::SystemStats;
 use dsm_sim::topology::TopologyKind;
 use dsm_sim::util::splitmix64;
-use dsm_sim::ProcStats;
-use dsm_simpoint::{Checkpoint, CheckpointMeta, MAGIC};
+use dsm_sim::{FaultStats, ProcStats};
+use dsm_simpoint::{Checkpoint, CheckpointMeta, CodecError, MAGIC};
 use dsm_workloads::{App, Scale};
 
-/// Deterministic value stream for synthesizing checkpoint contents.
+/// Deterministic value stream for synthesizing codec inputs.
 struct Gen(u64);
 
 impl Gen {
@@ -35,9 +52,31 @@ impl Gen {
     }
 }
 
+/// Per-processor interval records, the payload both formats carry.
+fn synth_records(g: &mut Gen, n_procs: usize, n_recs: usize) -> Vec<Vec<IntervalRecord>> {
+    (0..n_procs)
+        .map(|p| {
+            (0..n_recs)
+                .map(|i| IntervalRecord {
+                    proc: p,
+                    index: i as u64,
+                    insns: g.u() % 100_000,
+                    cycles: g.u() % 1_000_000,
+                    bbv: (0..4).map(|_| (g.u() % 1000) as f64 / 1000.0).collect(),
+                    fvec: g.vec(n_procs),
+                    cvec: g.vec(n_procs),
+                    dds: (g.u() % 100_000) as f64 / 7.0,
+                    ws_sig: g.vec(2),
+                    branches: g.u() % 5000,
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Build a structurally valid checkpoint whose every field is derived from
 /// `seed`; `n_procs` and `n_recs` vary the shape.
-fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
+fn synth_checkpoint(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
     let mut g = Gen(seed);
     let cache = |g: &mut Gen| CacheState {
         tags: g.vec(4),
@@ -99,24 +138,7 @@ fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
             }
         })
         .collect();
-    let records: Vec<Vec<IntervalRecord>> = (0..n_procs)
-        .map(|p| {
-            (0..n_recs)
-                .map(|i| IntervalRecord {
-                    proc: p,
-                    index: i as u64,
-                    insns: g.u() % 100_000,
-                    cycles: g.u() % 1_000_000,
-                    bbv: (0..4).map(|_| (g.u() % 1000) as f64 / 1000.0).collect(),
-                    fvec: g.vec(n_procs),
-                    cvec: g.vec(n_procs),
-                    dds: (g.u() % 100_000) as f64 / 7.0,
-                    ws_sig: g.vec(2),
-                    branches: g.u() % 5000,
-                })
-                .collect()
-        })
-        .collect();
+    let records = synth_records(&mut g, n_procs, n_recs);
     Checkpoint {
         meta: CheckpointMeta {
             app: App::EXTENDED[(g.u() % 5) as usize],
@@ -292,36 +314,204 @@ fn synth_adapt(g: &mut Gen, n_procs: usize) -> AdaptSnap {
     }
 }
 
+/// Build a structurally valid trace whose every field is derived from
+/// `seed`; `n_procs` and `n_recs` vary the shape.
+fn synth_trace(seed: u64, n_procs: usize, n_recs: usize) -> SystemTrace {
+    let mut g = Gen(seed);
+    let config = ExperimentConfig {
+        app: App::EXTENDED[(g.u() % 5) as usize],
+        n_procs,
+        scale: [Scale::Test, Scale::Scaled, Scale::Paper][(g.u() % 3) as usize],
+        interval_base: g.u() % 10_000_000,
+    };
+    let records = synth_records(&mut g, n_procs, n_recs);
+    let procs = (0..n_procs)
+        .map(|_| ProcStats {
+            cycles: g.u(),
+            insns: g.u(),
+            sync_ops: g.u(),
+            sync_wait_cycles: g.u(),
+            mem_refs: g.u(),
+            l1_misses: g.u(),
+            l2_misses: g.u(),
+            local_home_misses: g.u(),
+            remote_home_misses: g.u(),
+            mem_stall_cycles: g.u(),
+            contention_cycles: g.u(),
+            mispredicts: g.u(),
+            branches: g.u(),
+            intervals: g.u(),
+        })
+        .collect();
+    let stats = SystemStats {
+        procs,
+        directory: DirectoryStats {
+            reads: g.u(),
+            writes: g.u(),
+            owner_forwards: g.u(),
+            invalidations: g.u(),
+            upgrades: g.u(),
+            writebacks: g.u(),
+            nacks: g.u(),
+        },
+        network: NetworkStats {
+            msgs: g.u(),
+            payload_msgs: g.u(),
+            total_hops: g.u(),
+            link_wait_cycles: g.u(),
+            total_flit_hops: g.u(),
+            link_flits: g.vec(n_procs * 2),
+        },
+        memctrls: (0..n_procs)
+            .map(|_| MemCtrlStats { requests: g.u(), total_queue_delay: g.u() })
+            .collect(),
+        faults: FaultStats {
+            messages: g.u(),
+            drops: g.u(),
+            retries: g.u(),
+            forced_deliveries: g.u(),
+            duplicates: g.u(),
+            spikes: g.u(),
+            spike_cycles: g.u(),
+            timeout_wait_cycles: g.u(),
+            slowdown_events: g.u(),
+            slowdown_cycles: g.u(),
+        },
+        reconfig: ReconfigStats {
+            migrations: g.u(),
+            migration_stall_cycles: g.u(),
+            dvfs_epochs: g.u(),
+            dvfs_extra_cycles: g.u(),
+            dvfs_saved_cycles: g.u(),
+            core_switches: g.u(),
+        },
+        finish_cycle: g.u(),
+    };
+    SystemTrace { config, records, stats, ddv_vectors_exchanged: g.u() }
+}
+
+/// One binary format under test.
+trait Format {
+    type Value: PartialEq + std::fmt::Debug;
+    const MAGIC: &'static [u8];
+    /// Offset of the version digit inside [`Format::MAGIC`].
+    const VERSION_AT: usize;
+    fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Self::Value;
+    fn encode(v: &Self::Value) -> Vec<u8>;
+    fn decode(bytes: &[u8]) -> Result<Self::Value, CodecError>;
+}
+
+struct Ckpt;
+struct Trace;
+
+impl Format for Ckpt {
+    type Value = Checkpoint;
+    const MAGIC: &'static [u8] = MAGIC;
+    const VERSION_AT: usize = 7;
+    fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
+        synth_checkpoint(seed, n_procs, n_recs)
+    }
+    fn encode(v: &Checkpoint) -> Vec<u8> {
+        v.encode()
+    }
+    fn decode(bytes: &[u8]) -> Result<Checkpoint, CodecError> {
+        Checkpoint::decode(bytes)
+    }
+}
+
+impl Format for Trace {
+    type Value = SystemTrace;
+    const MAGIC: &'static [u8] = TRACE_MAGIC;
+    const VERSION_AT: usize = 6;
+    fn synth(seed: u64, n_procs: usize, n_recs: usize) -> SystemTrace {
+        synth_trace(seed, n_procs, n_recs)
+    }
+    fn encode(v: &SystemTrace) -> Vec<u8> {
+        v.encode()
+    }
+    fn decode(bytes: &[u8]) -> Result<SystemTrace, CodecError> {
+        SystemTrace::decode(bytes)
+    }
+}
+
+fn total_on<F: Format>(bytes: &[u8]) {
+    let _ = F::decode(bytes);
+}
+
+fn total_behind_magic<F: Format>(bytes: &[u8]) {
+    let mut buf = F::MAGIC.to_vec();
+    buf.extend_from_slice(bytes);
+    let _ = F::decode(&buf);
+}
+
+fn roundtrip<F: Format>(seed: u64, n_procs: usize, n_recs: usize) {
+    let v = F::synth(seed, n_procs, n_recs);
+    let bytes = F::encode(&v);
+    assert_eq!(&bytes, &F::encode(&v));
+    let back = F::decode(&bytes).unwrap();
+    assert_eq!(&back, &v);
+}
+
+fn corruption<F: Format>(seed: u64, n_procs: usize, pos_sel: u64, delta: u8) {
+    let mut bytes = F::encode(&F::synth(seed, n_procs, 2));
+    let pos = (pos_sel % bytes.len() as u64) as usize;
+    bytes[pos] ^= delta;
+    if let Ok(decoded) = F::decode(&bytes) {
+        assert_eq!(F::encode(&decoded), bytes);
+    }
+}
+
+fn truncation<F: Format>(seed: u64, cut_sel: u64) {
+    let bytes = F::encode(&F::synth(seed, 2, 1));
+    let cut = (cut_sel % bytes.len() as u64) as usize;
+    assert!(F::decode(&bytes[..cut]).is_err());
+}
+
+fn trailing<F: Format>(seed: u64, extra: &[u8]) {
+    let mut bytes = F::encode(&F::synth(seed, 2, 1));
+    bytes.extend_from_slice(extra);
+    assert_eq!(F::decode(&bytes).err(), Some(CodecError::TrailingBytes));
+}
+
+/// `F`'s decoder on `G`'s bytes reports a foreign format; on its own bytes
+/// with the version digit changed, the version it found.
+fn magic_mismatch<F: Format, G: Format>(seed: u64, version: u8) {
+    let foreign = G::encode(&G::synth(seed, 2, 1));
+    assert_eq!(F::decode(&foreign).err(), Some(CodecError::BadMagic));
+    let mut bytes = F::encode(&F::synth(seed, 2, 1));
+    if version != bytes[F::VERSION_AT] {
+        bytes[F::VERSION_AT] = version;
+        assert_eq!(F::decode(&bytes).err(), Some(CodecError::UnsupportedVersion { version }));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random byte soup never panics the decoder.
+    /// Random byte soup never panics either decoder.
     #[test]
     fn decode_total_on_random_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Checkpoint::decode(&bytes);
+        total_on::<Ckpt>(&bytes);
+        total_on::<Trace>(&bytes);
     }
 
-    /// Random bytes behind a valid magic never panic the decoder either
+    /// Random bytes behind a valid magic never panic the decoders either
     /// (this exercises the structural readers, not just the magic check).
     #[test]
     fn decode_total_behind_valid_magic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let mut buf = MAGIC.to_vec();
-        buf.extend_from_slice(&bytes);
-        let _ = Checkpoint::decode(&buf);
+        total_behind_magic::<Ckpt>(&bytes);
+        total_behind_magic::<Trace>(&bytes);
     }
 
     /// encode → decode is the identity, and encoding is deterministic.
     #[test]
     fn roundtrip_identity(seed in any::<u64>(), n_procs in 1usize..5, n_recs in 0usize..4) {
-        let ck = synth(seed, n_procs, n_recs);
-        let bytes = ck.encode();
-        prop_assert_eq!(&bytes, &ck.encode());
-        let back = Checkpoint::decode(&bytes).unwrap();
-        prop_assert_eq!(&back, &ck);
+        roundtrip::<Ckpt>(seed, n_procs, n_recs);
+        roundtrip::<Trace>(seed, n_procs, n_recs);
     }
 
     /// Single-byte corruption anywhere is either rejected with a typed error
-    /// or decodes to a checkpoint that canonically re-encodes to the same
+    /// or decodes to a value that canonically re-encodes to the same
     /// corrupted bytes — never a panic, never a non-canonical decode.
     #[test]
     fn corruption_is_total_and_canonical(
@@ -330,21 +520,66 @@ proptest! {
         pos_sel in any::<u64>(),
         delta in 1u8..255,
     ) {
-        let ck = synth(seed, n_procs, 2);
-        let mut bytes = ck.encode();
-        let pos = (pos_sel % bytes.len() as u64) as usize;
-        bytes[pos] ^= delta;
-        if let Ok(decoded) = Checkpoint::decode(&bytes) {
-            prop_assert_eq!(decoded.encode(), bytes);
-        }
+        corruption::<Ckpt>(seed, n_procs, pos_sel, delta);
+        corruption::<Trace>(seed, n_procs, pos_sel, delta);
     }
 
-    /// Every strict prefix of a valid checkpoint fails to decode.
+    /// Every strict prefix of a valid encoding fails to decode.
     #[test]
     fn truncation_always_errors(seed in any::<u64>(), cut_sel in any::<u64>()) {
-        let ck = synth(seed, 2, 1);
-        let bytes = ck.encode();
-        let cut = (cut_sel % bytes.len() as u64) as usize;
-        prop_assert!(Checkpoint::decode(&bytes[..cut]).is_err());
+        truncation::<Ckpt>(seed, cut_sel);
+        truncation::<Trace>(seed, cut_sel);
+    }
+
+    /// Bytes after a complete value are `TrailingBytes`, never ignored.
+    #[test]
+    fn trailing_bytes_error(seed in any::<u64>(), extra in prop::collection::vec(any::<u8>(), 1..16)) {
+        trailing::<Ckpt>(seed, &extra);
+        trailing::<Trace>(seed, &extra);
+    }
+
+    /// The other format's bytes are `BadMagic`; the same format at another
+    /// version is `UnsupportedVersion` carrying the version byte found.
+    #[test]
+    fn foreign_magic_and_version_are_typed(seed in any::<u64>(), version in any::<u8>()) {
+        magic_mismatch::<Ckpt, Trace>(seed, version);
+        magic_mismatch::<Trace, Ckpt>(seed, version);
+    }
+}
+
+// Golden byte hashes, recorded before the two codecs were moved onto the
+// shared kit. Changing either encoding is a format change: it needs a
+// version bump, not a new hash.
+
+#[test]
+fn trace_encoding_matches_golden_hash() {
+    // The hash also covers the simulator: a capture change moves it too.
+    let bytes = trace::capture(ExperimentConfig::test(App::Lu, 2)).encode();
+    assert_eq!((bytes.len(), fnv1a64(&bytes)), (8522, 0xc3e1_0e93_cdf9_d771));
+}
+
+#[test]
+fn checkpoint_encoding_matches_golden_hash() {
+    let ck = synth_checkpoint(1, 3, 2);
+    assert!(ck.adapt.is_some() && ck.meta.plan.drop_ppm > 0, "fixture covers every section");
+    let bytes = ck.encode();
+    assert_eq!((bytes.len(), fnv1a64(&bytes)), (4463, 0x9dac_45b3_39e7_ae62));
+}
+
+/// Real captures of every workload pass the decoder's machine-size checks.
+#[test]
+fn captured_traces_of_every_app_roundtrip() {
+    for app in App::EXTENDED {
+        let t = trace::capture(ExperimentConfig::test(app, 4));
+        assert_eq!(SystemTrace::decode(&t.encode()).as_ref(), Ok(&t), "{app:?}");
+    }
+}
+
+/// Exhaustive companion to `truncation_always_errors` on one real capture.
+#[test]
+fn every_prefix_of_a_captured_trace_errors() {
+    let bytes = trace::capture(ExperimentConfig::test(App::Lu, 2)).encode();
+    for cut in 0..bytes.len() {
+        assert!(SystemTrace::decode(&bytes[..cut]).is_err(), "prefix of {cut} bytes decoded");
     }
 }

@@ -93,6 +93,10 @@ pub enum ServeError {
     /// Signature's BBV length does not match the tenant's configured
     /// accumulator size.
     BadBbvLen { tenant: TenantId, len: usize, expected: usize },
+    /// A BBV component or the DDS (`what`) is NaN or infinite: it could
+    /// never match a footprint entry, so every such interval would open a
+    /// new phase.
+    NonFinite { tenant: TenantId, what: &'static str },
 }
 
 impl std::fmt::Display for ServeError {
@@ -104,6 +108,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::BadBbvLen { tenant, len, expected } => {
                 write!(f, "tenant {tenant}: bbv length {len}, expected {expected}")
+            }
+            ServeError::NonFinite { tenant, what } => {
+                write!(f, "tenant {tenant}: non-finite {what}")
             }
         }
     }
@@ -328,6 +335,12 @@ impl PhaseServer {
                 len: sig.bbv.len(),
                 expected: t.cfg.bbv_entries,
             });
+        }
+        if sig.bbv.iter().any(|x| !x.is_finite()) {
+            return Err(ServeError::NonFinite { tenant: id, what: "bbv" });
+        }
+        if !sig.dds.is_finite() {
+            return Err(ServeError::NonFinite { tenant: id, what: "dds" });
         }
         t.stats.offered += 1;
         if let Some(p) = t.probes {
@@ -712,7 +725,17 @@ mod tests {
             srv.offer(t, bad),
             Err(ServeError::BadBbvLen { len: 7, expected: 4, .. })
         ));
+        let mut bad = sig(0, 0, 0);
+        bad.bbv[2] = f64::NAN;
+        assert_eq!(srv.offer(t, bad), Err(ServeError::NonFinite { tenant: t, what: "bbv" }));
+        for dds in [f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = sig(0, 0, 0);
+            bad.dds = dds;
+            assert_eq!(srv.offer(t, bad), Err(ServeError::NonFinite { tenant: t, what: "dds" }));
+        }
         assert_eq!(srv.stats(t).unwrap().offered, 0);
+        assert_eq!(srv.offer(t, sig(0, 0, 0)), Ok(Ingest::Enqueued { depth: 1 }));
+        assert_eq!(srv.stats(t).unwrap().offered, 1);
         assert!(matches!(
             srv.offer(TenantId(999), sig(0, 0, 0)),
             Err(ServeError::UnknownTenant(TenantId(999)))

@@ -3,24 +3,25 @@
 //! A checkpoint is the pair (simulator state, detector-collector state) at a
 //! global interval boundary, plus the metadata needed to rebuild the machine
 //! and fast-forward a fresh instruction stream to the same position. The
-//! encoding is fully deterministic (little-endian integers, `f64` as raw
-//! bits, all maps pre-sorted by key in the snapshot layer), so encoding the
-//! same state twice yields byte-identical buffers — which the harness relies
-//! on for byte-identical artefact reruns.
+//! encoding is fully deterministic (all maps pre-sorted by key in the
+//! snapshot layer), so encoding the same state twice yields byte-identical
+//! buffers — which the harness relies on for byte-identical artefact reruns.
 //!
-//! Decoding is total: corrupt or truncated input of any shape produces a
-//! typed [`CkptError`], never a panic or an attempted huge allocation. Every
-//! length prefix is validated against the bytes actually remaining before a
-//! buffer is reserved (the same guard idiom as the harness trace codec), and
-//! all enum tags and booleans are range-checked.
+//! This module holds only the checkpoint framing: the metadata, the machine
+//! state and the adaptation snapshot. The byte layout itself, the total
+//! reader and the typed [`CodecError`] come from the codec kit in
+//! [`crate::wire`], which the harness's trace-store codec shares. Decoding
+//! is total: corrupt or truncated input of any shape yields a typed error,
+//! never a panic or an attempted huge allocation; on top of the kit's
+//! checks, every per-processor vector is checked against the machine size.
 
 use dsm_adapt::{
     AdaptSnap, Decision, DecisionKind, ObservedInterval, PhaseSnap, PhaseStateSnap,
 };
 use dsm_phase::ddv::{DdvSnap, FrequencySnap};
-use dsm_phase::detector::{CollectorState, DetectorGeometry, IntervalRecord};
+use dsm_phase::detector::{CollectorState, DetectorGeometry};
 use dsm_sim::config::{CoreConfig, FaultPlan, RetryPolicy};
-use dsm_sim::reconfig::{ReconfigSnap, ReconfigStats};
+use dsm_sim::reconfig::ReconfigSnap;
 use dsm_sim::directory::DirState;
 use dsm_sim::event::Event;
 use dsm_sim::state::{
@@ -29,6 +30,12 @@ use dsm_sim::state::{
 };
 use dsm_sim::topology::TopologyKind;
 use dsm_workloads::{App, Scale};
+
+use crate::wire::{
+    get_app, get_directory_stats, get_fault_stats, get_proc_stats, get_reconfig_stats,
+    get_record, get_scale, put_app, put_directory_stats, put_fault_stats, put_proc_stats,
+    put_reconfig_stats, put_record, put_scale, CodecError, Reader, Writer, D, RECORD_MIN_BYTES,
+};
 
 /// Magic prefix: format name plus version digit. Version 2 added the
 /// route-aware fabric: the topology + link-contention flag in the metadata
@@ -45,46 +52,8 @@ use dsm_workloads::{App, Scale};
 /// diagnostics layer's ground-truth plans use.
 pub const MAGIC: &[u8; 8] = b"DSMCKPT5";
 
-/// The version-independent format prefix shared by every `DSMCKPT` version.
-const MAGIC_FAMILY: &[u8; 7] = b"DSMCKPT";
-
-/// Decode failure. Every variant is reachable from corrupt input; none of
-/// them panic or allocate unboundedly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CkptError {
-    /// The buffer does not start with [`MAGIC`].
-    BadMagic,
-    /// A `DSMCKPT` checkpoint of a different version (e.g. a pre-fabric
-    /// `DSMCKPT1` or a pre-sharding `DSMCKPT2` file); re-capture the
-    /// checkpoint with this build.
-    UnsupportedVersion { version: u8 },
-    /// The buffer ended before the structure it claims to hold.
-    Truncated,
-    /// Well-formed structure followed by unconsumed bytes.
-    TrailingBytes,
-    /// An enum tag out of range.
-    BadTag { what: &'static str, tag: u64 },
-    /// A value that parses but cannot describe a real machine
-    /// (e.g. mismatched per-processor vector lengths).
-    BadValue { what: &'static str },
-}
-
-impl std::fmt::Display for CkptError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CkptError::BadMagic => write!(f, "not a DSMCKPT5 checkpoint (bad magic)"),
-            CkptError::UnsupportedVersion { version } => {
-                write!(f, "unsupported DSMCKPT version {:?}", *version as char)
-            }
-            CkptError::Truncated => write!(f, "checkpoint truncated"),
-            CkptError::TrailingBytes => write!(f, "trailing bytes after checkpoint"),
-            CkptError::BadTag { what, tag } => write!(f, "bad {what} tag {tag}"),
-            CkptError::BadValue { what } => write!(f, "inconsistent checkpoint field: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for CkptError {}
+/// Length of the version-independent `DSMCKPT` family prefix.
+const FAMILY_LEN: usize = 7;
 
 /// Everything needed to rebuild the machine a [`SystemState`] belongs to:
 /// the experiment coordinates (app, processor count, input scale, interval
@@ -126,189 +95,60 @@ pub struct Checkpoint {
     pub adapt: Option<AdaptSnap>,
 }
 
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-struct W {
-    out: Vec<u8>,
+fn bad(what: &'static str) -> CodecError {
+    CodecError::BadValue { what }
 }
 
-impl W {
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-    fn boolean(&mut self, v: bool) {
-        self.out.push(v as u8);
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn vec_u64(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u64(x);
+fn put_event(w: &mut Writer, e: &Event) {
+    match *e {
+        Event::End => w.u8(0),
+        Event::Block { bb, insns, taken } => {
+            w.u8(1);
+            w.u64(bb as u64);
+            w.u64(insns as u64);
+            w.boolean(taken);
         }
-    }
-    fn vec_u8(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.out.extend_from_slice(v);
-    }
-    fn vec_f64(&mut self, v: &[f64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.f64(x);
+        Event::Mem { addr, write } => {
+            w.u8(2);
+            w.u64(addr);
+            w.boolean(write);
         }
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
+        Event::Fp { ops } => {
+            w.u8(3);
+            w.u64(ops as u64);
         }
-    }
-    fn event(&mut self, e: &Event) {
-        match *e {
-            Event::End => self.u8(0),
-            Event::Block { bb, insns, taken } => {
-                self.u8(1);
-                self.u64(bb as u64);
-                self.u64(insns as u64);
-                self.boolean(taken);
-            }
-            Event::Mem { addr, write } => {
-                self.u8(2);
-                self.u64(addr);
-                self.boolean(write);
-            }
-            Event::Fp { ops } => {
-                self.u8(3);
-                self.u64(ops as u64);
-            }
-            Event::Barrier { id } => {
-                self.u8(4);
-                self.u64(id as u64);
-            }
-            Event::Acquire { lock } => {
-                self.u8(5);
-                self.u64(lock as u64);
-            }
-            Event::Release { lock } => {
-                self.u8(6);
-                self.u64(lock as u64);
-            }
+        Event::Barrier { id } => {
+            w.u8(4);
+            w.u64(id as u64);
+        }
+        Event::Acquire { lock } => {
+            w.u8(5);
+            w.u64(lock as u64);
+        }
+        Event::Release { lock } => {
+            w.u8(6);
+            w.u64(lock as u64);
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------------
-
-struct R<'a> {
-    b: &'a [u8],
+fn get_event(r: &mut Reader) -> D<Event> {
+    Ok(match r.tag("event", 7)? {
+        0 => Event::End,
+        1 => Event::Block {
+            bb: r.u32_checked("event bb")?,
+            insns: r.u32_checked("event insns")?,
+            taken: r.boolean("event taken")?,
+        },
+        2 => Event::Mem { addr: r.u64()?, write: r.boolean("event write")? },
+        3 => Event::Fp { ops: r.u32_checked("event ops")? },
+        4 => Event::Barrier { id: r.u32_checked("event id")? },
+        5 => Event::Acquire { lock: r.u32_checked("event lock")? },
+        _ => Event::Release { lock: r.u32_checked("event lock")? },
+    })
 }
 
-type D<T> = Result<T, CkptError>;
-
-impl<'a> R<'a> {
-    fn u64(&mut self) -> D<u64> {
-        if self.b.len() < 8 {
-            return Err(CkptError::Truncated);
-        }
-        let (head, tail) = self.b.split_at(8);
-        self.b = tail;
-        Ok(u64::from_le_bytes(head.try_into().unwrap()))
-    }
-    fn u8(&mut self) -> D<u8> {
-        match self.b.split_first() {
-            Some((&v, tail)) => {
-                self.b = tail;
-                Ok(v)
-            }
-            None => Err(CkptError::Truncated),
-        }
-    }
-    fn boolean(&mut self, what: &'static str) -> D<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(CkptError::BadTag { what, tag: t as u64 }),
-        }
-    }
-    fn f64(&mut self) -> D<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn u32_checked(&mut self, what: &'static str) -> D<u32> {
-        let v = self.u64()?;
-        u32::try_from(v).map_err(|_| CkptError::BadValue { what })
-    }
-    fn usize_checked(&mut self, what: &'static str) -> D<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| CkptError::BadValue { what })
-    }
-    /// Length prefix for items at least `min_bytes` each: reject lengths
-    /// that could not possibly fit in the remaining buffer *before*
-    /// reserving space for them.
-    fn len(&mut self, min_bytes: usize) -> D<usize> {
-        let n = self.u64()? as usize;
-        if n > self.b.len() / min_bytes.max(1) + 1 {
-            return Err(CkptError::Truncated);
-        }
-        Ok(n)
-    }
-    fn vec_u64(&mut self) -> D<Vec<u64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-    fn vec_u8(&mut self) -> D<Vec<u8>> {
-        let n = self.len(1)?;
-        if self.b.len() < n {
-            return Err(CkptError::Truncated);
-        }
-        let (head, tail) = self.b.split_at(n);
-        self.b = tail;
-        Ok(head.to_vec())
-    }
-    fn vec_f64(&mut self) -> D<Vec<f64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-    fn opt_u64(&mut self, what: &'static str) -> D<Option<u64>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(CkptError::BadTag { what, tag: t as u64 }),
-        }
-    }
-    fn event(&mut self) -> D<Event> {
-        Ok(match self.u8()? {
-            0 => Event::End,
-            1 => Event::Block {
-                bb: self.u32_checked("event bb")?,
-                insns: self.u32_checked("event insns")?,
-                taken: self.boolean("event taken")?,
-            },
-            2 => Event::Mem { addr: self.u64()?, write: self.boolean("event write")? },
-            3 => Event::Fp { ops: self.u32_checked("event ops")? },
-            4 => Event::Barrier { id: self.u32_checked("event id")? },
-            5 => Event::Acquire { lock: self.u32_checked("event lock")? },
-            6 => Event::Release { lock: self.u32_checked("event lock")? },
-            t => return Err(CkptError::BadTag { what: "event", tag: t as u64 }),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Structure encoders / decoders
-// ---------------------------------------------------------------------------
-
-fn put_cache(w: &mut W, c: &CacheState) {
+fn put_cache(w: &mut Writer, c: &CacheState) {
     w.vec_u64(&c.tags);
     w.vec_u64(&c.lru);
     w.u64(c.clock);
@@ -316,7 +156,7 @@ fn put_cache(w: &mut W, c: &CacheState) {
     w.u64(c.misses);
 }
 
-fn get_cache(r: &mut R) -> D<CacheState> {
+fn get_cache(r: &mut Reader) -> D<CacheState> {
     Ok(CacheState {
         tags: r.vec_u64()?,
         lru: r.vec_u64()?,
@@ -326,7 +166,7 @@ fn get_cache(r: &mut R) -> D<CacheState> {
     })
 }
 
-fn put_proc(w: &mut W, p: &ProcessorState) {
+fn put_proc(w: &mut Writer, p: &ProcessorState) {
     w.u64(p.cycle);
     w.u64(p.commit_carry);
     w.u64(p.fp_carry);
@@ -336,25 +176,7 @@ fn put_proc(w: &mut W, p: &ProcessorState) {
     w.boolean(p.finished);
     w.boolean(p.blocked);
     w.u64(p.blocked_since);
-    let s = &p.stats;
-    for v in [
-        s.cycles,
-        s.insns,
-        s.sync_ops,
-        s.sync_wait_cycles,
-        s.mem_refs,
-        s.l1_misses,
-        s.l2_misses,
-        s.local_home_misses,
-        s.remote_home_misses,
-        s.mem_stall_cycles,
-        s.contention_cycles,
-        s.mispredicts,
-        s.branches,
-        s.intervals,
-    ] {
-        w.u64(v);
-    }
+    put_proc_stats(w, &p.stats);
     put_cache(w, &p.l1);
     put_cache(w, &p.l2);
     w.vec_u8(&p.gshare.table);
@@ -369,7 +191,7 @@ fn put_proc(w: &mut W, p: &ProcessorState) {
     w.u64(p.core.stall_exposure_num);
 }
 
-fn get_proc(r: &mut R) -> D<ProcessorState> {
+fn get_proc(r: &mut Reader) -> D<ProcessorState> {
     let cycle = r.u64()?;
     let commit_carry = r.u64()?;
     let fp_carry = r.u64()?;
@@ -379,27 +201,12 @@ fn get_proc(r: &mut R) -> D<ProcessorState> {
     let finished = r.boolean("proc finished")?;
     let blocked = r.boolean("proc blocked")?;
     let blocked_since = r.u64()?;
-    let stats = dsm_sim::ProcStats {
-        cycles: r.u64()?,
-        insns: r.u64()?,
-        sync_ops: r.u64()?,
-        sync_wait_cycles: r.u64()?,
-        mem_refs: r.u64()?,
-        l1_misses: r.u64()?,
-        l2_misses: r.u64()?,
-        local_home_misses: r.u64()?,
-        remote_home_misses: r.u64()?,
-        mem_stall_cycles: r.u64()?,
-        contention_cycles: r.u64()?,
-        mispredicts: r.u64()?,
-        branches: r.u64()?,
-        intervals: r.u64()?,
-    };
+    let stats = get_proc_stats(r)?;
     let l1 = get_cache(r)?;
     let l2 = get_cache(r)?;
     let table = r.vec_u8()?;
     if table.iter().any(|&c| c > 3) {
-        return Err(CkptError::BadValue { what: "gshare counter > 3" });
+        return Err(bad("gshare counter > 3"));
     }
     Ok(ProcessorState {
         cycle,
@@ -430,7 +237,20 @@ fn get_proc(r: &mut R) -> D<ProcessorState> {
     })
 }
 
-fn put_system(w: &mut W, s: &SystemState) {
+/// `(page, node)` pairs: the first-touch and migration-override maps.
+fn put_page_nodes(w: &mut Writer, pairs: &[(u64, usize)]) {
+    w.u64(pairs.len() as u64);
+    for &(page, node) in pairs {
+        w.u64(page);
+        w.u64(node as u64);
+    }
+}
+
+fn get_page_nodes(r: &mut Reader, what: &'static str) -> D<Vec<(u64, usize)>> {
+    r.vec(16, |r| Ok((r.u64()?, r.usize_checked(what)?)))
+}
+
+fn put_system(w: &mut Writer, s: &SystemState) {
     w.u64(s.procs.len() as u64);
     for p in &s.procs {
         put_proc(w, p);
@@ -449,11 +269,7 @@ fn put_system(w: &mut W, s: &SystemState) {
             }
         }
     }
-    let d = &s.directory.stats;
-    for v in [d.reads, d.writes, d.owner_forwards, d.invalidations, d.upgrades, d.writebacks, d.nacks]
-    {
-        w.u64(v);
-    }
+    put_directory_stats(w, &s.directory.stats);
     w.u64(s.network.msgs);
     w.u64(s.network.payload_msgs);
     w.u64(s.network.total_hops);
@@ -467,17 +283,9 @@ fn put_system(w: &mut W, s: &SystemState) {
         w.u64(m.requests);
         w.u64(m.total_queue_delay);
     }
-    w.u64(s.home.first_touch.len() as u64);
-    for &(page, node) in &s.home.first_touch {
-        w.u64(page);
-        w.u64(node as u64);
-    }
+    put_page_nodes(w, &s.home.first_touch);
     // Version 4: migration overrides and the hot-page touch window.
-    w.u64(s.home.overrides.len() as u64);
-    for &(page, node) in &s.home.overrides {
-        w.u64(page);
-        w.u64(node as u64);
-    }
+    put_page_nodes(w, &s.home.overrides);
     w.u64(s.home.touches.len() as u64);
     for (page, counts) in &s.home.touches {
         w.u64(*page);
@@ -494,28 +302,14 @@ fn put_system(w: &mut W, s: &SystemState) {
     w.vec_u64(&s.barrier.arrived);
     w.vec_u64(&s.barrier.arrival_cycle);
     w.u64(s.fault.draws);
-    let f = &s.fault.stats;
-    for v in [
-        f.messages,
-        f.drops,
-        f.retries,
-        f.forced_deliveries,
-        f.duplicates,
-        f.spikes,
-        f.spike_cycles,
-        f.timeout_wait_cycles,
-        f.slowdown_events,
-        f.slowdown_cycles,
-    ] {
-        w.u64(v);
-    }
+    put_fault_stats(w, &s.fault.stats);
     w.u64(s.pending.len() as u64);
     for p in &s.pending {
         match p {
             None => w.u8(0),
             Some(e) => {
                 w.u8(1);
-                w.event(e);
+                put_event(w, e);
             }
         }
     }
@@ -523,44 +317,22 @@ fn put_system(w: &mut W, s: &SystemState) {
     w.vec_u64(&s.fetched);
     // Version 4: DVFS levels and reconfiguration counters.
     w.vec_u64(&s.reconfig.dvfs_num);
-    let rs = &s.reconfig.stats;
-    for v in [
-        rs.migrations,
-        rs.migration_stall_cycles,
-        rs.dvfs_epochs,
-        rs.dvfs_extra_cycles,
-        rs.dvfs_saved_cycles,
-        rs.core_switches,
-    ] {
-        w.u64(v);
-    }
+    put_reconfig_stats(w, &s.reconfig.stats);
 }
 
-fn get_system(r: &mut R) -> D<SystemState> {
+fn get_system(r: &mut Reader) -> D<SystemState> {
     // ProcessorState is hundreds of bytes; 64 is a safe per-item floor for
     // the pre-allocation guard.
-    let n = r.len(64)?;
-    let procs = (0..n).map(|_| get_proc(r)).collect::<D<Vec<_>>>()?;
-    let n_dir = r.len(17)?;
-    let mut entries = Vec::with_capacity(n_dir);
-    for _ in 0..n_dir {
+    let procs = r.vec(64, get_proc)?;
+    let entries = r.vec(17, |r| {
         let block = r.u64()?;
-        let state = match r.u8()? {
+        let state = match r.tag("directory state", 2)? {
             0 => DirState::Shared(r.u64()?),
-            1 => DirState::Exclusive(r.usize_checked("directory owner")?),
-            t => return Err(CkptError::BadTag { what: "directory state", tag: t as u64 }),
+            _ => DirState::Exclusive(r.usize_checked("directory owner")?),
         };
-        entries.push((block, state));
-    }
-    let stats = dsm_sim::directory::DirectoryStats {
-        reads: r.u64()?,
-        writes: r.u64()?,
-        owner_forwards: r.u64()?,
-        invalidations: r.u64()?,
-        upgrades: r.u64()?,
-        writebacks: r.u64()?,
-        nacks: r.u64()?,
-    };
+        Ok((block, state))
+    })?;
+    let stats = get_directory_stats(r)?;
     let network = NetworkState {
         msgs: r.u64()?,
         payload_msgs: r.u64()?,
@@ -571,107 +343,50 @@ fn get_system(r: &mut R) -> D<SystemState> {
         link_flits: r.vec_u64()?,
     };
     if network.link_flits.len() != network.link_busy.len() {
-        return Err(CkptError::BadValue { what: "network link vector lengths" });
+        return Err(bad("network link vector lengths"));
     }
-    let n_mc = r.len(24)?;
-    let memctrls = (0..n_mc)
-        .map(|_| {
-            Ok(MemCtrlState {
-                busy_until: r.vec_u64()?,
-                requests: r.u64()?,
-                total_queue_delay: r.u64()?,
-            })
+    let memctrls = r.vec(24, |r| {
+        Ok(MemCtrlState {
+            busy_until: r.vec_u64()?,
+            requests: r.u64()?,
+            total_queue_delay: r.u64()?,
         })
-        .collect::<D<Vec<_>>>()?;
-    let n_ft = r.len(16)?;
-    let mut first_touch = Vec::with_capacity(n_ft);
-    for _ in 0..n_ft {
-        let page = r.u64()?;
-        let node = r.usize_checked("first-touch node")?;
-        first_touch.push((page, node));
-    }
-    let n_ov = r.len(16)?;
-    let mut overrides = Vec::with_capacity(n_ov);
-    for _ in 0..n_ov {
-        let page = r.u64()?;
-        let node = r.usize_checked("override node")?;
-        overrides.push((page, node));
-    }
-    let n_touch = r.len(16)?;
-    let mut touches = Vec::with_capacity(n_touch);
-    for _ in 0..n_touch {
-        let page = r.u64()?;
-        let counts = r.vec_u64()?;
-        touches.push((page, counts));
-    }
+    })?;
+    let first_touch = get_page_nodes(r, "first-touch node")?;
+    let overrides = get_page_nodes(r, "override node")?;
+    let touches = r.vec(16, |r| Ok((r.u64()?, r.vec_u64()?)))?;
     let track = r.boolean("touch tracking")?;
-    let n_locks = r.len(17)?;
-    let locks = (0..n_locks)
-        .map(|_| {
-            let id = r.u32_checked("lock id")?;
-            let owner = match r.opt_u64("lock owner")? {
-                None => None,
-                Some(o) => {
-                    Some(usize::try_from(o).map_err(|_| CkptError::BadValue { what: "lock owner" })?)
-                }
-            };
-            let waiters = r
-                .vec_u64()?
-                .into_iter()
-                .map(|x| usize::try_from(x).map_err(|_| CkptError::BadValue { what: "lock waiter" }))
-                .collect::<D<Vec<_>>>()?;
-            Ok(LockSnap { id, owner, waiters })
-        })
-        .collect::<D<Vec<_>>>()?;
+    let locks = r.vec(17, |r| {
+        let id = r.u32_checked("lock id")?;
+        let owner = r
+            .opt_u64("lock owner")?
+            .map(|o| usize::try_from(o).map_err(|_| bad("lock owner")))
+            .transpose()?;
+        let waiters = r
+            .vec_u64()?
+            .into_iter()
+            .map(|x| usize::try_from(x).map_err(|_| bad("lock waiter")))
+            .collect::<D<Vec<_>>>()?;
+        Ok(LockSnap { id, owner, waiters })
+    })?;
     let barrier = BarrierSnap {
-        current_id: match r.opt_u64("barrier id")? {
-            None => None,
-            Some(i) => {
-                Some(u32::try_from(i).map_err(|_| CkptError::BadValue { what: "barrier id" })?)
-            }
-        },
+        current_id: r
+            .opt_u64("barrier id")?
+            .map(|i| u32::try_from(i).map_err(|_| bad("barrier id")))
+            .transpose()?,
         arrived: r.vec_u64()?,
         arrival_cycle: r.vec_u64()?,
     };
-    let fault = FaultSnap {
-        draws: r.u64()?,
-        stats: dsm_sim::FaultStats {
-            messages: r.u64()?,
-            drops: r.u64()?,
-            retries: r.u64()?,
-            forced_deliveries: r.u64()?,
-            duplicates: r.u64()?,
-            spikes: r.u64()?,
-            spike_cycles: r.u64()?,
-            timeout_wait_cycles: r.u64()?,
-            slowdown_events: r.u64()?,
-            slowdown_cycles: r.u64()?,
-        },
-    };
-    let n_pend = r.len(1)?;
-    let pending = (0..n_pend)
-        .map(|_| {
-            Ok(match r.u8()? {
-                0 => None,
-                1 => Some(r.event()?),
-                t => return Err(CkptError::BadTag { what: "pending slot", tag: t as u64 }),
-            })
+    let fault = FaultSnap { draws: r.u64()?, stats: get_fault_stats(r)? };
+    let pending = r.vec(1, |r| {
+        Ok(match r.tag("pending slot", 2)? {
+            0 => None,
+            _ => Some(get_event(r)?),
         })
-        .collect::<D<Vec<_>>>()?;
+    })?;
     let events_executed = r.u64()?;
     let fetched = r.vec_u64()?;
-    let dvfs_num = r.vec_u64()?;
-    let reconfig = ReconfigSnap {
-        dvfs_num,
-        stats: ReconfigStats {
-            migrations: r.u64()?,
-            migration_stall_cycles: r.u64()?,
-            dvfs_epochs: r.u64()?,
-            dvfs_extra_cycles: r.u64()?,
-            dvfs_saved_cycles: r.u64()?,
-            core_switches: r.u64()?,
-        },
-    };
+    let reconfig = ReconfigSnap { dvfs_num: r.vec_u64()?, stats: get_reconfig_stats(r)? };
     let st = SystemState {
         procs,
         directory: DirectoryState { entries, stats },
@@ -694,45 +409,17 @@ fn get_system(r: &mut R) -> D<SystemState> {
         || st.barrier.arrived.len() != n.div_ceil(64)
         || st.memctrls.len() != n
     {
-        return Err(CkptError::BadValue { what: "per-processor vector lengths" });
+        return Err(bad("per-processor vector lengths"));
     }
     if !(st.reconfig.dvfs_num.is_empty() || st.reconfig.dvfs_num.len() == n)
         || st.home.touches.iter().any(|(_, c)| c.len() != n)
     {
-        return Err(CkptError::BadValue { what: "reconfiguration vector lengths" });
+        return Err(bad("reconfiguration vector lengths"));
     }
     Ok(st)
 }
 
-fn put_record(w: &mut W, rec: &IntervalRecord) {
-    w.u64(rec.proc as u64);
-    w.u64(rec.index);
-    w.u64(rec.insns);
-    w.u64(rec.cycles);
-    w.vec_f64(&rec.bbv);
-    w.vec_u64(&rec.fvec);
-    w.vec_u64(&rec.cvec);
-    w.f64(rec.dds);
-    w.vec_u64(&rec.ws_sig);
-    w.u64(rec.branches);
-}
-
-fn get_record(r: &mut R) -> D<IntervalRecord> {
-    Ok(IntervalRecord {
-        proc: r.usize_checked("record proc")?,
-        index: r.u64()?,
-        insns: r.u64()?,
-        cycles: r.u64()?,
-        bbv: r.vec_f64()?,
-        fvec: r.vec_u64()?,
-        cvec: r.vec_u64()?,
-        dds: r.f64()?,
-        ws_sig: r.vec_u64()?,
-        branches: r.u64()?,
-    })
-}
-
-fn put_collector(w: &mut W, c: &CollectorState) {
+fn put_collector(w: &mut Writer, c: &CollectorState) {
     w.u64(c.bbv.len() as u64);
     for b in &c.bbv {
         w.vec_u64(b);
@@ -761,16 +448,11 @@ fn put_collector(w: &mut W, c: &CollectorState) {
     }
 }
 
-fn get_collector(r: &mut R, n_procs: usize) -> D<CollectorState> {
-    let n_bbv = r.len(8)?;
-    let bbv = (0..n_bbv).map(|_| r.vec_u64()).collect::<D<Vec<_>>>()?;
-    let n_ws = r.len(8)?;
-    let ws = (0..n_ws).map(|_| r.vec_u64()).collect::<D<Vec<_>>>()?;
+fn get_collector(r: &mut Reader, n_procs: usize) -> D<CollectorState> {
+    let bbv = r.vec(8, Reader::vec_u64)?;
+    let ws = r.vec(8, Reader::vec_u64)?;
     let branches = r.vec_u64()?;
-    let n_mats = r.len(16)?;
-    let mats = (0..n_mats)
-        .map(|_| Ok(FrequencySnap { cum: r.vec_u64()?, snap: r.vec_u64()? }))
-        .collect::<D<Vec<_>>>()?;
+    let mats = r.vec(16, |r| Ok(FrequencySnap { cum: r.vec_u64()?, snap: r.vec_u64()? }))?;
     let ddv = DdvSnap {
         mats,
         gcum: r.vec_u64()?,
@@ -779,13 +461,7 @@ fn get_collector(r: &mut R, n_procs: usize) -> D<CollectorState> {
         vectors_exchanged: r.u64()?,
         gather_rounds: r.u64()?,
     };
-    let n_rec = r.len(8)?;
-    let records = (0..n_rec)
-        .map(|_| {
-            let n = r.len(80)?;
-            (0..n).map(|_| get_record(r)).collect::<D<Vec<_>>>()
-        })
-        .collect::<D<Vec<_>>>()?;
+    let records = r.vec(8, |r| r.vec(RECORD_MIN_BYTES, get_record))?;
     let c = CollectorState { bbv, ws, branches, ddv, records };
     if c.bbv.len() != n_procs
         || c.ws.len() != n_procs
@@ -796,12 +472,12 @@ fn get_collector(r: &mut R, n_procs: usize) -> D<CollectorState> {
         || c.ddv.gsnap.len() != n_procs * n_procs
         || c.ddv.mats.iter().any(|m| m.cum.len() != n_procs || m.snap.len() != n_procs * n_procs)
     {
-        return Err(CkptError::BadValue { what: "collector sized for a different machine" });
+        return Err(bad("collector sized for a different machine"));
     }
     Ok(c)
 }
 
-fn put_adapt(w: &mut W, a: &AdaptSnap) {
+fn put_adapt(w: &mut Writer, a: &AdaptSnap) {
     w.u64(a.target);
     w.u64(a.processed);
     w.u64(a.phases.len() as u64);
@@ -827,16 +503,12 @@ fn put_adapt(w: &mut W, a: &AdaptSnap) {
     for d in &a.decisions {
         w.u64(d.interval);
         w.u64(d.phase as u64);
-        match d.kind {
-            DecisionKind::Trial { config } => {
-                w.u8(0);
-                w.u64(config as u64);
-            }
-            DecisionKind::Lock { config } => {
-                w.u8(1);
-                w.u64(config as u64);
-            }
-        }
+        let (tag, config) = match d.kind {
+            DecisionKind::Trial { config } => (0, config),
+            DecisionKind::Lock { config } => (1, config),
+        };
+        w.u8(tag);
+        w.u64(config as u64);
     }
     w.u64(a.stream.len() as u64);
     for o in &a.stream {
@@ -849,52 +521,41 @@ fn put_adapt(w: &mut W, a: &AdaptSnap) {
     w.vec_u64(&a.actuator);
 }
 
-fn get_adapt(r: &mut R) -> D<AdaptSnap> {
+fn get_adapt(r: &mut Reader) -> D<AdaptSnap> {
     let target = r.u64()?;
     let processed = r.u64()?;
-    let n_phases = r.len(17)?;
-    let phases = (0..n_phases)
-        .map(|_| {
-            let phase = r.u32_checked("adapt phase id")?;
-            let state = match r.u8()? {
-                0 => PhaseStateSnap::Tuning {
-                    config: r.u64()?,
-                    trials_left: r.u64()?,
-                    best_config: r.u64()?,
-                    best_score: r.f64()?,
-                    acc: r.f64()?,
-                    acc_n: r.u64()?,
-                },
-                1 => PhaseStateSnap::Locked { config: r.u64()? },
-                t => return Err(CkptError::BadTag { what: "adapt phase state", tag: t as u64 }),
-            };
-            Ok(PhaseSnap { phase, state })
+    let phases = r.vec(17, |r| {
+        let phase = r.u32_checked("adapt phase id")?;
+        let state = match r.tag("adapt phase state", 2)? {
+            0 => PhaseStateSnap::Tuning {
+                config: r.u64()?,
+                trials_left: r.u64()?,
+                best_config: r.u64()?,
+                best_score: r.f64()?,
+                acc: r.f64()?,
+                acc_n: r.u64()?,
+            },
+            _ => PhaseStateSnap::Locked { config: r.u64()? },
+        };
+        Ok(PhaseSnap { phase, state })
+    })?;
+    let decisions = r.vec(25, |r| {
+        let interval = r.u64()?;
+        let phase = r.u32_checked("decision phase id")?;
+        let kind = match r.tag("decision kind", 2)? {
+            0 => DecisionKind::Trial { config: r.usize_checked("trial config")? },
+            _ => DecisionKind::Lock { config: r.usize_checked("locked config")? },
+        };
+        Ok(Decision { interval, phase, kind })
+    })?;
+    let stream = r.vec(25, |r| {
+        Ok(ObservedInterval {
+            index: r.u64()?,
+            phase: r.u32_checked("observed phase id")?,
+            cpi: r.f64()?,
+            degraded: r.boolean("observed degraded")?,
         })
-        .collect::<D<Vec<_>>>()?;
-    let n_dec = r.len(25)?;
-    let decisions = (0..n_dec)
-        .map(|_| {
-            let interval = r.u64()?;
-            let phase = r.u32_checked("decision phase id")?;
-            let kind = match r.u8()? {
-                0 => DecisionKind::Trial { config: r.usize_checked("trial config")? },
-                1 => DecisionKind::Lock { config: r.usize_checked("locked config")? },
-                t => return Err(CkptError::BadTag { what: "decision kind", tag: t as u64 }),
-            };
-            Ok(Decision { interval, phase, kind })
-        })
-        .collect::<D<Vec<_>>>()?;
-    let n_stream = r.len(25)?;
-    let stream = (0..n_stream)
-        .map(|_| {
-            Ok(ObservedInterval {
-                index: r.u64()?,
-                phase: r.u32_checked("observed phase id")?,
-                cpi: r.f64()?,
-                degraded: r.boolean("observed degraded")?,
-            })
-        })
-        .collect::<D<Vec<_>>>()?;
+    })?;
     let a = AdaptSnap {
         target,
         processed,
@@ -908,7 +569,7 @@ fn get_adapt(r: &mut R) -> D<AdaptSnap> {
     // ahead of the global minimum boundary `target` — only the stream-length
     // pairing is an invariant.
     if a.processed as usize != a.stream.len() {
-        return Err(CkptError::BadValue { what: "adapt stream length" });
+        return Err(bad("adapt stream length"));
     }
     Ok(a)
 }
@@ -917,17 +578,11 @@ impl Checkpoint {
     /// Serialize to the `DSMCKPT5` byte format. Deterministic: the same
     /// checkpoint always encodes to the same bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = W { out: Vec::with_capacity(4096) };
-        w.out.extend_from_slice(MAGIC);
+        let mut w = Writer::new(MAGIC);
         let m = &self.meta;
-        let app_idx = App::EXTENDED.iter().position(|a| *a == m.app).expect("known app") as u8;
-        w.u8(app_idx);
+        put_app(&mut w, m.app);
         w.u64(m.n_procs as u64);
-        w.u8(match m.scale {
-            Scale::Test => 0,
-            Scale::Scaled => 1,
-            Scale::Paper => 2,
-        });
+        put_scale(&mut w, m.scale);
         w.u64(m.interval_base);
         let topo_idx =
             TopologyKind::ALL.iter().position(|k| *k == m.topology).expect("known topology") as u8;
@@ -963,39 +618,21 @@ impl Checkpoint {
                 put_adapt(&mut w, a);
             }
         }
-        w.out
+        w.finish()
     }
 
     /// Decode a `DSMCKPT5` buffer. Total: any input yields `Ok` or a typed
-    /// [`CkptError`]; never panics, never over-allocates on hostile lengths.
-    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC_FAMILY.len()] != MAGIC_FAMILY {
-            return Err(CkptError::BadMagic);
-        }
-        let version = bytes[MAGIC_FAMILY.len()];
-        if version != MAGIC[MAGIC_FAMILY.len()] {
-            return Err(CkptError::UnsupportedVersion { version });
-        }
-        let mut r = R { b: &bytes[MAGIC.len()..] };
-        let app_tag = r.u8()?;
-        let app = *App::EXTENDED
-            .get(app_tag as usize)
-            .ok_or(CkptError::BadTag { what: "app", tag: app_tag as u64 })?;
+    /// [`CodecError`]; never panics, never over-allocates on hostile lengths.
+    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CodecError> {
+        let mut r = Reader::open(bytes, MAGIC, FAMILY_LEN)?;
+        let app = get_app(&mut r)?;
         let n_procs = r.usize_checked("n_procs")?;
         if n_procs == 0 || n_procs > 4096 {
-            return Err(CkptError::BadValue { what: "n_procs" });
+            return Err(bad("n_procs"));
         }
-        let scale = match r.u8()? {
-            0 => Scale::Test,
-            1 => Scale::Scaled,
-            2 => Scale::Paper,
-            t => return Err(CkptError::BadTag { what: "scale", tag: t as u64 }),
-        };
+        let scale = get_scale(&mut r)?;
         let interval_base = r.u64()?;
-        let topo_tag = r.u8()?;
-        let topology = *TopologyKind::ALL
-            .get(topo_tag as usize)
-            .ok_or(CkptError::BadTag { what: "topology", tag: topo_tag as u64 })?;
+        let topology = TopologyKind::ALL[r.tag("topology", TopologyKind::ALL.len())?];
         let link_contention = r.boolean("link_contention")?;
         let plan = FaultPlan {
             seed: r.u64()?,
@@ -1024,21 +661,18 @@ impl Checkpoint {
         let interval_index = r.u64()?;
         let shards = r.usize_checked("shards")?;
         if shards > n_procs {
-            return Err(CkptError::BadValue { what: "shards" });
+            return Err(bad("shards"));
         }
         let system = get_system(&mut r)?;
         if system.procs.len() != n_procs {
-            return Err(CkptError::BadValue { what: "system sized for a different machine" });
+            return Err(bad("system sized for a different machine"));
         }
         let collector = get_collector(&mut r, n_procs)?;
-        let adapt = match r.u8()? {
+        let adapt = match r.tag("adapt presence", 2)? {
             0 => None,
-            1 => Some(get_adapt(&mut r)?),
-            t => return Err(CkptError::BadTag { what: "adapt presence", tag: t as u64 }),
+            _ => Some(get_adapt(&mut r)?),
         };
-        if !r.b.is_empty() {
-            return Err(CkptError::TrailingBytes);
-        }
+        r.finish()?;
         Ok(Checkpoint {
             meta: CheckpointMeta {
                 app,
@@ -1062,8 +696,9 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_phase::detector::IntervalRecord;
     use dsm_sim::directory::DirectoryStats;
-    use dsm_sim::{FaultStats, ProcStats};
+    use dsm_sim::{FaultStats, ProcStats, ReconfigStats};
 
     fn sample_checkpoint() -> Checkpoint {
         let cache = |k: u64| CacheState {
@@ -1279,7 +914,7 @@ mod tests {
         ck.adapt = Some(a);
         assert_eq!(
             Checkpoint::decode(&ck.encode()),
-            Err(CkptError::BadValue { what: "adapt stream length" })
+            Err(CodecError::BadValue { what: "adapt stream length" })
         );
     }
 
@@ -1289,15 +924,15 @@ mod tests {
         ck.system.reconfig.dvfs_num = vec![256]; // machine has 2 procs
         assert_eq!(
             Checkpoint::decode(&ck.encode()),
-            Err(CkptError::BadValue { what: "reconfiguration vector lengths" })
+            Err(CodecError::BadValue { what: "reconfiguration vector lengths" })
         );
     }
 
     #[test]
     fn bad_magic_rejected() {
-        assert_eq!(Checkpoint::decode(b""), Err(CkptError::BadMagic));
-        assert_eq!(Checkpoint::decode(b"DSMTRC2\n"), Err(CkptError::BadMagic));
-        assert_eq!(Checkpoint::decode(b"DSMTRC3\n"), Err(CkptError::BadMagic));
+        assert_eq!(Checkpoint::decode(b""), Err(CodecError::BadMagic));
+        assert_eq!(Checkpoint::decode(b"DSMTRC2\n"), Err(CodecError::BadMagic));
+        assert_eq!(Checkpoint::decode(b"DSMTRC3\n"), Err(CodecError::BadMagic));
     }
 
     #[test]
@@ -1315,7 +950,7 @@ mod tests {
         ] {
             assert_eq!(
                 Checkpoint::decode(payload),
-                Err(CkptError::UnsupportedVersion { version }),
+                Err(CodecError::UnsupportedVersion { version }),
                 "payload {payload:?}"
             );
         }
@@ -1323,7 +958,7 @@ mod tests {
         bytes[7] = b'1';
         assert_eq!(
             Checkpoint::decode(&bytes),
-            Err(CkptError::UnsupportedVersion { version: b'1' })
+            Err(CodecError::UnsupportedVersion { version: b'1' })
         );
     }
 
@@ -1342,7 +977,7 @@ mod tests {
     fn trailing_bytes_rejected() {
         let mut bytes = sample_checkpoint().encode();
         bytes.push(0);
-        assert_eq!(Checkpoint::decode(&bytes), Err(CkptError::TrailingBytes));
+        assert_eq!(Checkpoint::decode(&bytes), Err(CodecError::TrailingBytes));
     }
 
     #[test]
@@ -1361,6 +996,6 @@ mod tests {
         let bytes = ck.encode();
         let mut bad = bytes.clone();
         bad[8] = 200; // app tag
-        assert_eq!(Checkpoint::decode(&bad), Err(CkptError::BadTag { what: "app", tag: 200 }));
+        assert_eq!(Checkpoint::decode(&bad), Err(CodecError::BadTag { what: "app", tag: 200 }));
     }
 }

@@ -5,7 +5,10 @@
 //! sampling work. This crate implements the SimPoint-style pipeline on top
 //! of the simulator's checkpointable state:
 //!
-//! * [`codec`] — the versioned `DSMCKPT3` binary checkpoint format: a
+//! * [`wire`] — the binary codec kit: byte writer, total reader, typed
+//!   [`CodecError`], magic/version check, and the one byte layout of every
+//!   type the checkpoint and the harness's trace store both carry.
+//! * [`codec`] — the versioned `DSMCKPT5` binary checkpoint format: a
 //!   [`dsm_sim::SystemState`] plus the detector-collector state
 //!   ([`dsm_phase::detector::CollectorState`]) at a global interval
 //!   boundary, with the metadata needed to rebuild the machine and
@@ -28,8 +31,10 @@
 pub mod codec;
 pub mod reconstruct;
 pub mod select;
+pub mod wire;
 
-pub use codec::{Checkpoint, CheckpointMeta, CkptError, MAGIC};
+pub use codec::{Checkpoint, CheckpointMeta, MAGIC};
+pub use wire::CodecError;
 pub use reconstruct::{
     interval_cpis, mean_and_cov, reconstruct_cpi, relative_error, IntervalCpi, Reconstructed,
 };
