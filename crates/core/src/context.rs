@@ -26,20 +26,17 @@ pub struct DetectorContext {
 impl DetectorContext {
     /// Capture processor `proc`'s state from a running detector.
     pub fn save(detector: &mut OnlineDetector, proc: usize) -> Self {
-        let (bbv, _, tables) = detector.parts_mut();
-        Self {
-            accumulator: bbv[proc].clone(),
-            footprint: tables[proc].clone(),
-        }
+        let (bbv, table) = detector.context_parts(proc);
+        Self { accumulator: bbv.clone(), footprint: table.clone() }
     }
 
     /// Re-capture processor `proc`'s state into this existing snapshot,
     /// reusing its buffers: repeated save/restore cycles (one per context
     /// switch) allocate nothing once sizes reach steady state.
     pub fn save_into(&mut self, detector: &mut OnlineDetector, proc: usize) {
-        let (bbv, _, tables) = detector.parts_mut();
-        self.accumulator.copy_from(&bbv[proc]);
-        self.footprint.copy_from(&tables[proc]);
+        let (bbv, table) = detector.context_parts(proc);
+        self.accumulator.copy_from(bbv);
+        self.footprint.copy_from(table);
     }
 
     /// Restore this snapshot into processor `proc` of a detector (the
@@ -48,9 +45,9 @@ impl DetectorContext {
     /// staleness state of a deadline-degraded gather is forgotten: cached
     /// stale rows belong to the outgoing thread's access pattern.
     pub fn restore(&self, detector: &mut OnlineDetector, proc: usize) {
-        let (bbv, _, tables) = detector.parts_mut();
-        bbv[proc].copy_from(&self.accumulator);
-        tables[proc].copy_from(&self.footprint);
+        let (bbv, table) = detector.context_parts(proc);
+        bbv.copy_from(&self.accumulator);
+        table.copy_from(&self.footprint);
         detector.reset_staleness(proc);
     }
 

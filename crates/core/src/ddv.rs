@@ -23,8 +23,8 @@
 //! per-requester snapshot taken at query time: `F_i[j] = cum[j] - snap[i][j]`.
 //! Since every `F_kj` in the paper's scheme counts exactly the accesses to
 //! home `j` between `k`'s queries, the two representations are equal at
-//! every query point — [`NaiveFrequencyMatrix`] implements the literal
-//! hardware scheme and the property tests assert the equivalence.
+//! every query point — the property tests check it against a literal
+//! implementation of the hardware scheme.
 //!
 //! ### Implementation note: O(n) aggregate gather
 //!
@@ -139,36 +139,6 @@ pub struct DdvSnap {
     pub vectors_exchanged: u64,
     /// Critical-path collection rounds accumulated across gathers.
     pub gather_rounds: u64,
-}
-
-/// Literal implementation of the paper's hardware: n×n counters, all rows
-/// incremented on every commit. Used to validate [`FrequencyMatrix`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NaiveFrequencyMatrix {
-    n: usize,
-    /// `counts[i][j]`: accesses to home j on behalf of requester i.
-    counts: Vec<u64>,
-}
-
-impl NaiveFrequencyMatrix {
-    pub fn new(n: usize) -> Self {
-        Self { n, counts: vec![0; n * n] }
-    }
-
-    pub fn record(&mut self, home: usize) {
-        // "Every time processor p commits a load or a store ... it
-        // increments all F_kj, 1 <= k <= n."
-        for i in 0..self.n {
-            self.counts[i * self.n + home] += 1;
-        }
-    }
-
-    pub fn query(&mut self, i: usize) -> Vec<u64> {
-        let row = &mut self.counts[i * self.n..(i + 1) * self.n];
-        let out = row.to_vec();
-        row.iter_mut().for_each(|c| *c = 0);
-        out
-    }
 }
 
 /// A sample produced at the end of one processor's interval.
@@ -733,25 +703,6 @@ mod tests {
         assert_eq!(f.peek(0), vec![0, 1]);
         assert_eq!(f.query(0), vec![0, 1]);
         assert_eq!(f.peek(0), vec![0, 0]);
-    }
-
-    #[test]
-    fn snapshot_matches_naive_hardware() {
-        let mut fast = FrequencyMatrix::new(4);
-        let mut naive = NaiveFrequencyMatrix::new(4);
-        // Deterministic interleaving of records and queries.
-        let mut x = 7u64;
-        for step in 0..2000 {
-            x = dsm_sim::util::splitmix64(x);
-            if step % 13 == 0 {
-                let i = (x % 4) as usize;
-                assert_eq!(fast.query(i), naive.query(i), "at step {step}");
-            } else {
-                let home = (x % 4) as usize;
-                fast.record(home);
-                naive.record(home);
-            }
-        }
     }
 
     #[test]

@@ -1,26 +1,28 @@
-//! End-to-end phase detectors and the offline trace classifier.
+//! End-to-end phase detectors as simulator observers.
 //!
 //! Two ways to use the machinery:
 //!
 //! * [`OnlineDetector`] — a [`SimObserver`] that classifies every sampling
 //!   interval as it completes, exactly as the paper's hardware would
 //!   (BBV accumulator + DDV query + footprint-table lookup per interval).
-//! * [`TraceCollector`] + [`TraceClassifier`] — the collector records each
-//!   interval's *feature snapshot* (normalized BBV, `F_i`, `C`, DDS,
-//!   working-set signature, branch count, CPI) without classifying;
-//!   the classifier then replays the footprint-table logic offline for any
-//!   threshold. Because classification never feeds back into execution in
-//!   the paper's evaluation, sweeping 200 thresholds offline over one
-//!   captured trace is exactly equivalent to 200 simulated runs — an
-//!   integration test asserts online/offline agreement.
+//! * [`TraceCollector`] — records each interval's *feature snapshot*
+//!   (normalized BBV, `F_i`, `C`, DDS, working-set signature, branch
+//!   count, CPI) without classifying; a
+//!   [`ClassifierBank`](crate::signature::ClassifierBank) then replays the
+//!   footprint-table logic offline for any threshold. Because
+//!   classification never feeds back into execution in the paper's
+//!   evaluation, sweeping 200 thresholds offline over one captured trace is
+//!   exactly equivalent to 200 simulated runs — an integration test asserts
+//!   online/offline agreement.
 
 use serde::{Deserialize, Serialize};
 
 use dsm_sim::observer::{IntervalStats, SimObserver};
 
 use crate::bbv::BbvAccumulator;
-use crate::ddv::{DdsSample, DdvSnap, DdvState, DegradedCollector};
+use crate::ddv::{DdsSample, DdvSnap, DdvState};
 use crate::footprint::FootprintTable;
+use crate::signature::{ClassifierBank, Gather};
 use crate::telem::{DetectorProbes, DetectorTelemetry, MetricsRegistry, Snapshot};
 use crate::working_set::WsSignature;
 use crate::{DEFAULT_BBV_ENTRIES, DEFAULT_FOOTPRINT_VECTORS};
@@ -167,12 +169,63 @@ impl Default for DetectorGeometry {
 // Trace collection (classification-free observer)
 // ---------------------------------------------------------------------------
 
+/// One processor's mid-interval collector accumulators: the BBV, the
+/// working-set signature and the committed branch count.
+#[derive(Clone)]
+pub(crate) struct ProcAccumulators {
+    bbv: BbvAccumulator,
+    ws: WsSignature,
+    branches: u64,
+}
+
+impl ProcAccumulators {
+    fn new(geometry: DetectorGeometry) -> Self {
+        Self {
+            bbv: BbvAccumulator::new(geometry.bbv_entries),
+            ws: WsSignature::new(geometry.ws_bits),
+            branches: 0,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn on_block_commit(&mut self, bb: u32, insns: u32) {
+        self.bbv.record(bb, insns);
+        self.ws.insert(bb);
+        self.branches += 1;
+    }
+
+    /// Close `proc`'s interval: snapshot the accumulators next to the
+    /// gathered DDV `sample` into a record, then reset them. The one record
+    /// assembly of the serial and sharded collectors.
+    pub(crate) fn close(
+        &mut self,
+        proc: usize,
+        stats: IntervalStats,
+        sample: DdsSample,
+    ) -> IntervalRecord {
+        let rec = IntervalRecord {
+            proc,
+            index: stats.index,
+            insns: stats.insns,
+            cycles: stats.cycles,
+            bbv: self.bbv.normalized(),
+            fvec: sample.fvec,
+            cvec: sample.cvec,
+            dds: sample.dds,
+            ws_sig: self.ws.words().to_vec(),
+            branches: self.branches,
+        };
+        self.bbv.reset();
+        self.ws.clear();
+        self.branches = 0;
+        rec
+    }
+}
+
 /// Records per-interval feature snapshots for offline classification.
 pub struct TraceCollector {
     pub(crate) geometry: DetectorGeometry,
-    pub(crate) bbv: Vec<BbvAccumulator>,
-    pub(crate) ws: Vec<WsSignature>,
-    pub(crate) branches: Vec<u64>,
+    pub(crate) acc: Vec<ProcAccumulators>,
     pub(crate) ddv: DdvState,
     /// Captured records, per processor, in interval order.
     pub records: Vec<Vec<IntervalRecord>>,
@@ -187,24 +240,19 @@ impl TraceCollector {
     /// `dist` is the n×n DDV distance matrix (see
     /// [`dsm_sim::network::Network::distance_matrix`]).
     pub fn new(n_procs: usize, dist: Vec<f64>, geometry: DetectorGeometry) -> Self {
-        Self {
-            bbv: (0..n_procs).map(|_| BbvAccumulator::new(geometry.bbv_entries)).collect(),
-            ws: (0..n_procs).map(|_| WsSignature::new(geometry.ws_bits)).collect(),
-            branches: vec![0; n_procs],
-            ddv: DdvState::new(n_procs, dist),
-            records: vec![Vec::new(); n_procs],
-            geometry,
-            reference_gather: false,
-        }
+        Self::with_ddv(DdvState::new(n_procs, dist), geometry)
     }
 
     /// Hypercube convenience constructor.
     pub fn for_hypercube(n_procs: usize, geometry: DetectorGeometry) -> Self {
+        Self::with_ddv(DdvState::for_hypercube(n_procs), geometry)
+    }
+
+    fn with_ddv(ddv: DdvState, geometry: DetectorGeometry) -> Self {
+        let n_procs = ddv.n();
         Self {
-            bbv: (0..n_procs).map(|_| BbvAccumulator::new(geometry.bbv_entries)).collect(),
-            ws: (0..n_procs).map(|_| WsSignature::new(geometry.ws_bits)).collect(),
-            branches: vec![0; n_procs],
-            ddv: DdvState::for_hypercube(n_procs),
+            acc: vec![ProcAccumulators::new(geometry); n_procs],
+            ddv,
             records: vec![Vec::new(); n_procs],
             geometry,
             reference_gather: false,
@@ -241,9 +289,9 @@ impl TraceCollector {
     /// captured records — for checkpointing.
     pub fn export_state(&self) -> CollectorState {
         CollectorState {
-            bbv: self.bbv.iter().map(|b| b.raw().to_vec()).collect(),
-            ws: self.ws.iter().map(|w| w.words().to_vec()).collect(),
-            branches: self.branches.clone(),
+            bbv: self.acc.iter().map(|a| a.bbv.raw().to_vec()).collect(),
+            ws: self.acc.iter().map(|a| a.ws.words().to_vec()).collect(),
+            branches: self.acc.iter().map(|a| a.branches).collect(),
             ddv: self.ddv.export_state(),
             records: self.records.clone(),
         }
@@ -252,17 +300,19 @@ impl TraceCollector {
     /// Restore state captured by [`TraceCollector::export_state`] into a
     /// collector built with the same geometry and processor count.
     pub fn import_state(&mut self, st: &CollectorState) {
-        assert_eq!(st.bbv.len(), self.bbv.len(), "collector snapshot is for a different machine");
-        assert_eq!(st.ws.len(), self.ws.len(), "collector snapshot is for a different machine");
-        for (b, raw) in self.bbv.iter_mut().zip(&st.bbv) {
-            assert_eq!(raw.len(), b.len(), "collector snapshot has a different BBV geometry");
-            *b = BbvAccumulator::from_raw(raw.clone());
+        let n = self.acc.len();
+        assert!(
+            st.bbv.len() == n && st.ws.len() == n && st.branches.len() == n,
+            "collector snapshot is for a different machine"
+        );
+        let rows = st.bbv.iter().zip(&st.ws).zip(&st.branches);
+        for (a, ((raw, words), &branches)) in self.acc.iter_mut().zip(rows) {
+            assert_eq!(raw.len(), a.bbv.len(), "collector snapshot has a different BBV geometry");
+            assert_eq!(words.len() * 64, a.ws.bits(), "collector snapshot has a different WS geometry");
+            a.bbv = BbvAccumulator::from_raw(raw.clone());
+            a.ws = WsSignature::from_words(words.clone());
+            a.branches = branches;
         }
-        for (w, words) in self.ws.iter_mut().zip(&st.ws) {
-            assert_eq!(words.len() * 64, w.bits(), "collector snapshot has a different WS geometry");
-            *w = WsSignature::from_words(words.clone());
-        }
-        self.branches.copy_from_slice(&st.branches);
         self.ddv.import_state(&st.ddv);
         self.records = st.records.clone();
     }
@@ -288,9 +338,7 @@ pub struct CollectorState {
 impl SimObserver for TraceCollector {
     #[inline]
     fn on_block_commit(&mut self, proc: usize, bb: u32, insns: u32) {
-        self.bbv[proc].record(bb, insns);
-        self.ws[proc].insert(bb);
-        self.branches[proc] += 1;
+        self.acc[proc].on_block_commit(bb, insns);
     }
 
     #[inline]
@@ -306,51 +354,8 @@ impl SimObserver for TraceCollector {
         } else {
             self.ddv.end_interval(proc)
         };
-        self.records[proc].push(IntervalRecord {
-            proc,
-            index: stats.index,
-            insns: stats.insns,
-            cycles: stats.cycles,
-            bbv: self.bbv[proc].normalized(),
-            fvec: sample.fvec,
-            cvec: sample.cvec,
-            dds: sample.dds,
-            ws_sig: self.ws[proc].words().to_vec(),
-            branches: self.branches[proc],
-        });
-        self.bbv[proc].reset();
-        self.ws[proc].clear();
-        self.branches[proc] = 0;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Offline classification
-// ---------------------------------------------------------------------------
-
-/// Replays the footprint-table classification over captured records.
-pub struct TraceClassifier;
-
-impl TraceClassifier {
-    /// Classify one processor's interval sequence; returns the phase id per
-    /// interval (same order as `records`).
-    pub fn classify_proc(
-        records: &[IntervalRecord],
-        mode: DetectorMode,
-        thresholds: Thresholds,
-        footprint_vectors: usize,
-    ) -> Vec<u32> {
-        let mut table = FootprintTable::new(footprint_vectors);
-        records
-            .iter()
-            .map(|r| {
-                let dds_thr = match mode {
-                    DetectorMode::Bbv => None,
-                    DetectorMode::BbvDdv => Some(thresholds.dds),
-                };
-                table.classify(&r.bbv, r.dds, thresholds.bbv, dds_thr).phase_id
-            })
-            .collect()
+        let rec = self.acc[proc].close(proc, stats, sample);
+        self.records[proc].push(rec);
     }
 }
 
@@ -360,24 +365,14 @@ impl TraceClassifier {
 
 /// Classifies intervals as they complete, like the paper's hardware.
 ///
-/// Internally this is the gather half (BBV accumulators + DDV state) fused
-/// with a [`crate::signature::ClassifierBank`] — the same kernel
-/// `dsm-serve` runs per tenant, so in-simulator and served classification
-/// are bit-identical by construction.
+/// Internally this is the gather half fused with a [`ClassifierBank`] —
+/// the same kernel `dsm-serve` runs per tenant, so in-simulator and served
+/// classification are bit-identical by construction.
 pub struct OnlineDetector {
-    bbv: Vec<BbvAccumulator>,
-    ddv: DdvState,
-    bank: crate::signature::ClassifierBank,
-    /// Deadline-degraded row gathering; `None` on a reliable system (the
-    /// gather then takes the exact paper path with no staleness tracking).
-    availability: Option<(AvailabilityModel, DegradedCollector)>,
+    gather: Gather,
+    bank: ClassifierBank,
     /// Classified intervals, per processor, in order.
     pub classified: Vec<Vec<ClassifiedInterval>>,
-    /// Reusable per-interval buffers: the end-of-interval hot path
-    /// (DDV query + BBV normalization + table lookup) allocates nothing
-    /// in steady state.
-    scratch_bbv: Vec<f64>,
-    scratch_sample: DdsSample,
     /// Telemetry recorder (no-op stub unless the `telemetry` feature is on).
     telem: DetectorTelemetry,
     probes: DetectorProbes,
@@ -394,25 +389,8 @@ impl OnlineDetector {
         thresholds: Thresholds,
         geometry: DetectorGeometry,
     ) -> Self {
-        let mut telem = DetectorTelemetry::new(n_procs);
-        let probes = DetectorProbes::register(&mut telem, n_procs);
-        Self {
-            bbv: (0..n_procs).map(|_| BbvAccumulator::new(geometry.bbv_entries)).collect(),
-            ddv: DdvState::new(n_procs, dist),
-            bank: crate::signature::ClassifierBank::new(
-                n_procs,
-                mode,
-                thresholds,
-                geometry.footprint_vectors,
-            ),
-            availability: None,
-            classified: vec![Vec::new(); n_procs],
-            scratch_bbv: Vec::new(),
-            scratch_sample: DdsSample::empty(),
-            telem,
-            probes,
-            cum_cycles: vec![0; n_procs],
-        }
+        let reliable = AvailabilityModel::reliable();
+        Self::with_availability(n_procs, dist, mode, thresholds, geometry, reliable)
     }
 
     /// A detector whose DDV row gathers are subject to `model`'s collection
@@ -426,11 +404,16 @@ impl OnlineDetector {
         geometry: DetectorGeometry,
         model: AvailabilityModel,
     ) -> Self {
-        let mut d = Self::new(n_procs, dist, mode, thresholds, geometry);
-        if model.miss_ppm > 0 {
-            d.availability = Some((model, DegradedCollector::new(n_procs)));
+        let mut telem = DetectorTelemetry::new(n_procs);
+        let probes = DetectorProbes::register(&mut telem, n_procs);
+        Self {
+            gather: Gather::new(n_procs, dist, geometry, model),
+            bank: ClassifierBank::new(n_procs, mode, thresholds, geometry.footprint_vectors),
+            classified: vec![Vec::new(); n_procs],
+            telem,
+            probes,
+            cum_cycles: vec![0; n_procs],
         }
-        d
     }
 
     pub fn mode(&self) -> DetectorMode {
@@ -443,18 +426,18 @@ impl OnlineDetector {
 
     /// The availability model in force, if any.
     pub fn availability(&self) -> Option<&AvailabilityModel> {
-        self.availability.as_ref().map(|(m, _)| m)
+        self.gather.availability.as_ref().map(|(m, _)| m)
     }
 
     /// Total DDV rows substituted from stale caches so far.
     pub fn rows_substituted(&self) -> u64 {
-        self.availability.as_ref().map_or(0, |(_, c)| c.substitutions())
+        self.gather.availability.as_ref().map_or(0, |(_, c)| c.substitutions())
     }
 
     /// Forget processor `proc`'s staleness state (context switch: the
     /// incoming thread must not inherit the outgoing thread's stale rows).
     pub fn reset_staleness(&mut self, proc: usize) {
-        if let Some((_, c)) = &mut self.availability {
+        if let Some((_, c)) = &mut self.gather.availability {
             c.reset_requester(proc);
         }
     }
@@ -479,9 +462,7 @@ impl OnlineDetector {
     /// under the `detector/` namespace. Always available (independent of
     /// the `telemetry` feature): the counts are recomputed from
     /// [`OnlineDetector::classified`], so harness-level reporting can fold
-    /// any detector run into a registry. This is the registry path for the
-    /// PR 3 degradation events that were previously only per-interval
-    /// booleans on [`ClassifiedInterval`].
+    /// any detector run into a registry, degraded intervals included.
     pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
         let mut intervals = 0u64;
         let mut new_phases = 0u64;
@@ -495,53 +476,33 @@ impl OnlineDetector {
         reg.counter_add("detector/new_phases", new_phases);
         reg.counter_add("detector/degraded_intervals", degraded);
         reg.counter_add("detector/rows_substituted", self.rows_substituted());
-        self.ddv.publish_metrics("detector/ddv", reg);
+        self.gather.ddv.publish_metrics("detector/ddv", reg);
     }
 
-    /// Access to mutable internals for context save/restore.
-    pub(crate) fn parts_mut(
+    /// Processor `proc`'s BBV accumulator and footprint table, for context
+    /// save/restore.
+    pub(crate) fn context_parts(
         &mut self,
-    ) -> (&mut Vec<BbvAccumulator>, &mut DdvState, &mut Vec<FootprintTable>) {
-        (&mut self.bbv, &mut self.ddv, self.bank.tables_mut())
+        proc: usize,
+    ) -> (&mut BbvAccumulator, &mut FootprintTable) {
+        (&mut self.gather.bbv[proc], self.bank.table_mut(proc))
     }
 }
 
 impl SimObserver for OnlineDetector {
     #[inline]
     fn on_block_commit(&mut self, proc: usize, bb: u32, insns: u32) {
-        self.bbv[proc].record(bb, insns);
+        self.gather.bbv[proc].record(bb, insns);
     }
 
     #[inline]
     fn on_mem_commit(&mut self, proc: usize, home: usize, _addr: u64, _write: bool) {
-        self.ddv.record_access(proc, home);
+        self.gather.ddv.record_access(proc, home);
     }
 
     fn on_interval(&mut self, proc: usize, stats: IntervalStats) {
-        let degraded = match &mut self.availability {
-            None => {
-                self.ddv.end_interval_into(proc, &mut self.scratch_sample);
-                false
-            }
-            Some((model, coll)) => {
-                let staleness = coll.end_interval_into(
-                    &mut self.ddv,
-                    proc,
-                    &mut self.scratch_sample,
-                    |q| !model.row_missed(proc, q, stats.index),
-                );
-                staleness > model.max_staleness
-            }
-        };
-        self.bbv[proc].normalized_into(&mut self.scratch_bbv);
-        let c = self.bank.classify_raw(
-            proc,
-            stats.index,
-            stats.cpi(),
-            &self.scratch_bbv,
-            self.scratch_sample.dds,
-            degraded,
-        );
+        let (bbv, dds, degraded) = self.gather.end_interval(proc, stats);
+        let c = self.bank.classify_raw(proc, stats.index, stats.cpi(), bbv, dds, degraded);
         // Classification span on the processor's cumulative interval clock
         // (covers the interval just classified), plus outcome counters.
         let start = self.cum_cycles[proc];
@@ -555,7 +516,6 @@ impl SimObserver for OnlineDetector {
             self.telem.add(self.probes.degraded, 1);
         }
         self.classified[proc].push(c);
-        self.bbv[proc].reset();
     }
 }
 
@@ -686,14 +646,10 @@ mod tests {
             drive(&mut online, 0, *code, homes, i as u64);
         }
 
-        let offline = TraceClassifier::classify_proc(
-            &coll.records[0],
-            DetectorMode::BbvDdv,
-            thresholds,
-            geometry.footprint_vectors,
-        );
-        let online_ids: Vec<u32> = online.classified[0].iter().map(|c| c.phase_id).collect();
-        assert_eq!(offline, online_ids);
+        let mut bank =
+            ClassifierBank::new(2, DetectorMode::BbvDdv, thresholds, geometry.footprint_vectors);
+        let offline: Vec<ClassifiedInterval> = bank.classify_records(0, &coll.records[0]).collect();
+        assert_eq!(offline, online.classified[0]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::distance::{manhattan_concat, relative_diff};
+use crate::distance::{manhattan, relative_diff};
 
 /// One stored signature.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,27 +82,10 @@ impl FootprintTable {
     /// * `dds_threshold` — `Some(t)` in BBV+DDV mode (relative DDS
     ///   difference must be `< t`), `None` in BBV-only mode.
     pub fn classify(&mut self, bbv: &[f64], dds: f64, bbv_threshold: f64, dds_threshold: Option<f64>) -> Match {
-        self.classify_split(bbv, &[], dds, bbv_threshold, dds_threshold)
-    }
-
-    /// [`Self::classify`] over a signature supplied as two segments whose
-    /// logical value is the concatenation `head ++ tail`. The concatenated
-    /// classifier (BBV head, distance-weighted DDV tail) uses this to avoid
-    /// copying the BBV into a combined vector every interval; distances are
-    /// computed by one fused pass per entry ([`manhattan_concat`]), so the
-    /// result is bit-identical to classifying the materialized concatenation.
-    pub fn classify_split(
-        &mut self,
-        head: &[f64],
-        tail: &[f64],
-        dds: f64,
-        bbv_threshold: f64,
-        dds_threshold: Option<f64>,
-    ) -> Match {
         self.clock += 1;
         let mut best: Option<(usize, f64)> = None;
         for (i, e) in self.entries.iter().enumerate() {
-            let d = manhattan_concat(head, tail, &e.bbv);
+            let d = manhattan(bbv, &e.bbv);
             if d >= bbv_threshold {
                 continue;
             }
@@ -124,28 +107,17 @@ impl FootprintTable {
         // Allocate a new entry (LRU eviction when full).
         let phase_id = self.next_phase_id;
         self.next_phase_id += 1;
-        self.alloc_entry(head, tail, dds, phase_id);
+        self.alloc_entry(bbv, dds, phase_id);
         Match { phase_id, is_new: true, distance: 0.0 }
     }
 
-    /// Store `head ++ tail` as a new entry. Below capacity this allocates
-    /// (bounded by table size, not by interval count); once the table is
-    /// full, the evicted entry's buffer is reused when the signature length
-    /// is unchanged — the steady-state case — so long runs allocate nothing.
-    fn alloc_entry(&mut self, head: &[f64], tail: &[f64], dds: f64, phase_id: u32) {
-        let concat = |head: &[f64], tail: &[f64]| {
-            let mut sig = Vec::with_capacity(head.len() + tail.len());
-            sig.extend_from_slice(head);
-            sig.extend_from_slice(tail);
-            sig.into_boxed_slice()
-        };
+    /// Store `bbv` as a new entry. Below capacity this allocates (bounded
+    /// by table size, not by interval count); once the table is full, the
+    /// evicted entry's buffer is reused when the signature length is
+    /// unchanged — the steady-state case — so long runs allocate nothing.
+    fn alloc_entry(&mut self, bbv: &[f64], dds: f64, phase_id: u32) {
         if self.entries.len() < self.capacity {
-            self.entries.push(Entry {
-                bbv: concat(head, tail),
-                dds,
-                phase_id,
-                last_used: self.clock,
-            });
+            self.entries.push(Entry { bbv: bbv.into(), dds, phase_id, last_used: self.clock });
             return;
         }
         let lru = self
@@ -160,11 +132,10 @@ impl FootprintTable {
         e.dds = dds;
         e.phase_id = phase_id;
         e.last_used = self.clock;
-        if e.bbv.len() == head.len() + tail.len() {
-            e.bbv[..head.len()].copy_from_slice(head);
-            e.bbv[head.len()..].copy_from_slice(tail);
+        if e.bbv.len() == bbv.len() {
+            e.bbv.copy_from_slice(bbv);
         } else {
-            e.bbv = concat(head, tail);
+            e.bbv = bbv.into();
         }
     }
 
@@ -335,28 +306,6 @@ mod tests {
             t.classify(&x, 0.0, 2.1, None);
         }
         assert_eq!(t.phases_allocated(), 1);
-    }
-
-    #[test]
-    fn classify_split_matches_concatenated_classify() {
-        let mut whole = FootprintTable::new(2);
-        let mut split = FootprintTable::new(2);
-        let cases: &[(&[f64], &[f64], f64)] = &[
-            (&[0.5, 0.5], &[10.0, 0.0], 100.0),
-            (&[0.1, 0.9], &[0.0, 12.5], 900.0),
-            (&[0.5, 0.5], &[10.0, 0.0], 105.0),
-            (&[0.9, 0.1], &[3.0, 3.0], 50.0), // third signature: forces an eviction
-            (&[0.5, 0.5], &[10.0, 0.0], 100.0),
-        ];
-        for &(head, tail, dds) in cases {
-            let mut cat = head.to_vec();
-            cat.extend_from_slice(tail);
-            let a = whole.classify(&cat, dds, 0.4, Some(0.3));
-            let b = split.classify_split(head, tail, dds, 0.4, Some(0.3));
-            assert_eq!(a, b, "split classification diverged on {cat:?}");
-        }
-        assert_eq!(whole.entries(), split.entries());
-        assert_eq!(whole.evictions(), split.evictions());
     }
 
     #[test]

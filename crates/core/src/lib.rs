@@ -19,8 +19,13 @@
 //!   gathers all rows, sums them into the contention vector `C`, and folds
 //!   frequency × distance × contention into the scalar DDS.
 //! * [`detector`] — the end-to-end detectors (`BBV` and `BBV+DDV`) as
-//!   simulator observers, plus the offline trace classifier used for
-//!   threshold sweeps (equivalent by construction; see DESIGN.md).
+//!   simulator observers: the online detector and the classification-free
+//!   trace collector whose records the threshold sweeps replay.
+//! * [`signature`] — the detector's two halves: the per-interval gather,
+//!   written once, and [`ClassifierBank`], the one footprint-table
+//!   classifier the online detector, the server and offline replay of
+//!   captured records all call (equivalent by construction; see
+//!   DESIGN.md).
 //! * [`shard_collector`] — the parallel trace-capture path: a serial
 //!   coordinator stages observer events (keeping the O(n) DDV aggregate in
 //!   global order) and host worker threads drain the per-processor work at
@@ -56,7 +61,7 @@ pub use bbv::BbvAccumulator;
 pub use ddv::{DdvSnap, DdvState, DegradedCollector, FrequencyMatrix, FrequencySnap};
 pub use detector::{
     AvailabilityModel, ClassifiedInterval, CollectorState, DetectorMode, IntervalRecord,
-    OnlineDetector, Thresholds, TraceClassifier, TraceCollector,
+    OnlineDetector, Thresholds, TraceCollector,
 };
 pub use footprint::{FootprintTable, Match};
 pub use replay::{DistanceTriangle, IndexReplay};

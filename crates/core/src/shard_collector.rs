@@ -29,10 +29,10 @@
 
 use dsm_sim::observer::{IntervalStats, SimObserver};
 
-use crate::bbv::BbvAccumulator;
-use crate::ddv::DdvState;
-use crate::detector::{CollectorState, DetectorGeometry, IntervalRecord, TraceCollector};
-use crate::working_set::WsSignature;
+use crate::ddv::{DdsSample, DdvState, FrequencyMatrix};
+use crate::detector::{
+    CollectorState, DetectorGeometry, IntervalRecord, ProcAccumulators, TraceCollector,
+};
 
 /// One staged observer event. `Block`/`Mem` are the per-event hot path and
 /// stay pointer-free; `Interval` carries the coordinator-gathered `C`.
@@ -167,64 +167,34 @@ impl ShardedCollector {
         struct Unit<'a> {
             proc: usize,
             ops: &'a mut Vec<Op>,
-            bbv: &'a mut BbvAccumulator,
-            ws: &'a mut WsSignature,
-            branches: &'a mut u64,
-            mat: &'a mut crate::ddv::FrequencyMatrix,
+            acc: &'a mut ProcAccumulators,
+            mat: &'a mut FrequencyMatrix,
             records: &'a mut Vec<IntervalRecord>,
             dist_row: &'a [f64],
         }
         let mut units: Vec<Option<Unit>> = self
             .staged
             .iter_mut()
-            .zip(self.inner.bbv.iter_mut())
-            .zip(self.inner.ws.iter_mut())
-            .zip(self.inner.branches.iter_mut())
+            .zip(self.inner.acc.iter_mut())
             .zip(mats.iter_mut())
             .zip(self.inner.records.iter_mut())
             .enumerate()
-            .map(|(proc, (((((ops, bbv), ws), branches), mat), records))| {
-                Some(Unit {
-                    proc,
-                    ops,
-                    bbv,
-                    ws,
-                    branches,
-                    mat,
-                    records,
-                    dist_row: &dist[proc * n..(proc + 1) * n],
-                })
+            .map(|(proc, (((ops, acc), mat), records))| {
+                let dist_row = &dist[proc * n..(proc + 1) * n];
+                Some(Unit { proc, ops, acc, mat, records, dist_row })
             })
             .collect();
 
         fn run_unit(u: &mut Unit, n: usize) {
             for op in u.ops.drain(..) {
                 match op {
-                    Op::Block { bb, insns } => {
-                        u.bbv.record(bb, insns);
-                        u.ws.insert(bb);
-                        *u.branches += 1;
-                    }
+                    Op::Block { bb, insns } => u.acc.on_block_commit(bb, insns),
                     Op::Mem { home } => u.mat.record(home),
                     Op::Interval { stats, cvec } => {
                         let mut fvec = vec![0u64; n];
                         u.mat.drain_row_into(u.proc, &mut fvec);
                         let dds = DdvState::dds_of(&fvec, u.dist_row, &cvec);
-                        u.records.push(IntervalRecord {
-                            proc: u.proc,
-                            index: stats.index,
-                            insns: stats.insns,
-                            cycles: stats.cycles,
-                            bbv: u.bbv.normalized(),
-                            fvec,
-                            cvec,
-                            dds,
-                            ws_sig: u.ws.words().to_vec(),
-                            branches: *u.branches,
-                        });
-                        u.bbv.reset();
-                        u.ws.clear();
-                        *u.branches = 0;
+                        u.records.push(u.acc.close(u.proc, stats, DdsSample { fvec, cvec, dds }));
                     }
                 }
             }

@@ -1,8 +1,6 @@
-//! The classifier extraction seam: interval signatures on the wire and the
-//! classification kernel behind them.
-//!
-//! The paper's detector has two halves that until now lived fused inside
-//! [`OnlineDetector`](crate::detector::OnlineDetector):
+//! The detector's two halves: the per-interval gather and the
+//! classification kernel, with the interval signature on the wire between
+//! them.
 //!
 //! 1. **gather** — accumulate the BBV, collect the DDV rows at the interval
 //!    boundary, fold them into the DDS (and, under an
@@ -13,22 +11,22 @@
 //! The gather half is tied to the simulated machine (it *is* the hardware
 //! the paper describes); the classify half is pure state-plus-arithmetic
 //! and is exactly what a phase-detection *service* runs on behalf of many
-//! tenants. This module splits them:
+//! tenants. This module holds:
 //!
 //! * [`IntervalSignature`] — everything the gather half produces for one
 //!   completed interval: the normalized BBV, the DDS, the interval's
 //!   instruction/cycle counts, and the staleness verdict. This is the unit
 //!   of ingest for `dsm-serve`.
 //! * [`ClassifierBank`] — the per-processor footprint tables plus the
-//!   threshold gating, as a standalone kernel.
-//!   [`OnlineDetector`](crate::detector::OnlineDetector) now *contains* a
-//!   bank and calls the same `classify_raw` the server calls, so
-//!   server-side classification is bit-identical to in-simulator
-//!   classification by construction (and pinned by the
-//!   `serve_differential` suite).
-//! * [`SignatureExtractor`] — a [`SimObserver`] that runs only the gather
-//!   half and emits [`IntervalSignature`]s instead of classifying. Feeding
-//!   its output through a [`ClassifierBank`] reproduces the online
+//!   threshold gating: the one classifier. The online detector, the
+//!   server and the offline replay of captured traces
+//!   ([`ClassifierBank::classify_records`]) all call its `classify_raw`,
+//!   so their phase ids are bit-identical by construction (pinned by the
+//!   `online_offline` and `serve_differential` suites).
+//! * `Gather` — the gather half, written once. The
+//!   [`OnlineDetector`](crate::detector::OnlineDetector) is a gather plus a
+//!   bank; the [`SignatureExtractor`] is a gather plus a signature sink, so
+//!   feeding its output through a [`ClassifierBank`] reproduces the online
 //!   detector's [`ClassifiedInterval`] sequence exactly, degraded flags
 //!   included.
 
@@ -148,8 +146,8 @@ impl ClassifierBank {
 
     /// Mutable access for context save/restore
     /// ([`crate::context::DetectorContext`]).
-    pub(crate) fn tables_mut(&mut self) -> &mut Vec<FootprintTable> {
-        &mut self.tables
+    pub(crate) fn table_mut(&mut self, proc: usize) -> &mut FootprintTable {
+        &mut self.tables[proc]
     }
 
     /// Classify one interval from its parts. This is the exact tail of the
@@ -189,34 +187,99 @@ impl ClassifierBank {
     pub fn classify_signature(&mut self, sig: &IntervalSignature) -> ClassifiedInterval {
         self.classify_raw(sig.proc, sig.index, sig.cpi(), &sig.bbv, sig.dds, sig.degraded)
     }
+
+    /// Replay captured intervals, in order, through processor `proc`'s
+    /// table: the offline classification of a recorded trace. Traces are
+    /// captured on a reliable system, so no interval is degraded.
+    pub fn classify_records<'a>(
+        &'a mut self,
+        proc: usize,
+        records: &'a [IntervalRecord],
+    ) -> impl Iterator<Item = ClassifiedInterval> + 'a {
+        records
+            .iter()
+            .map(move |r| self.classify_raw(proc, r.index, r.cpi(), &r.bbv, r.dds, false))
+    }
+}
+
+/// The gather half of the paper's detector, shared by
+/// [`OnlineDetector`](crate::detector::OnlineDetector) and
+/// [`SignatureExtractor`]: per-processor BBV accumulators and the DDV
+/// state, with the row collection optionally subject to an
+/// [`AvailabilityModel`]'s deadline.
+pub(crate) struct Gather {
+    pub(crate) bbv: Vec<BbvAccumulator>,
+    pub(crate) ddv: DdvState,
+    /// Deadline-degraded row gathering; `None` on a reliable system (the
+    /// gather then takes the exact paper path with no staleness tracking).
+    pub(crate) availability: Option<(AvailabilityModel, DegradedCollector)>,
+    /// Reusable per-interval buffers: a gather allocates nothing in steady
+    /// state.
+    sample: DdsSample,
+    normalized: Vec<f64>,
+}
+
+impl Gather {
+    /// With `model.miss_ppm == 0` every row always arrives and the gather
+    /// is the exact paper path.
+    pub(crate) fn new(
+        n_procs: usize,
+        dist: Vec<f64>,
+        geometry: DetectorGeometry,
+        model: AvailabilityModel,
+    ) -> Self {
+        Self {
+            bbv: (0..n_procs).map(|_| BbvAccumulator::new(geometry.bbv_entries)).collect(),
+            ddv: DdvState::new(n_procs, dist),
+            availability: (model.miss_ppm > 0).then(|| (model, DegradedCollector::new(n_procs))),
+            sample: DdsSample::empty(),
+            normalized: Vec::new(),
+        }
+    }
+
+    /// End `proc`'s interval: gather the DDV rows into the DDS, normalize
+    /// the BBV and reset the accumulator. Returns the normalized BBV, the
+    /// DDS and the staleness verdict (`true` when the most-stale
+    /// substituted row exceeds the model's bound).
+    pub(crate) fn end_interval(
+        &mut self,
+        proc: usize,
+        stats: IntervalStats,
+    ) -> (&[f64], f64, bool) {
+        let degraded = match &mut self.availability {
+            None => {
+                self.ddv.end_interval_into(proc, &mut self.sample);
+                false
+            }
+            Some((model, coll)) => {
+                let staleness = coll.end_interval_into(
+                    &mut self.ddv,
+                    proc,
+                    &mut self.sample,
+                    |q| !model.row_missed(proc, q, stats.index),
+                );
+                staleness > model.max_staleness
+            }
+        };
+        self.bbv[proc].normalized_into(&mut self.normalized);
+        self.bbv[proc].reset();
+        (&self.normalized, self.sample.dds, degraded)
+    }
 }
 
 /// The gather half of the online detector as a standalone observer: it
-/// accumulates BBVs and DDV state exactly like
-/// [`OnlineDetector`](crate::detector::OnlineDetector) but emits
-/// [`IntervalSignature`]s instead of classifying, so the classification can
-/// happen elsewhere (a [`ClassifierBank`] inside `dsm-serve`).
+/// emits [`IntervalSignature`]s instead of classifying, so the
+/// classification can happen elsewhere (a [`ClassifierBank`] inside
+/// `dsm-serve`).
 pub struct SignatureExtractor {
-    bbv: Vec<BbvAccumulator>,
-    ddv: DdvState,
-    /// Deadline-degraded row gathering; `None` on a reliable system.
-    availability: Option<(AvailabilityModel, DegradedCollector)>,
-    scratch_sample: DdsSample,
+    gather: Gather,
     /// Extracted signatures, per processor, in interval order.
     pub signatures: Vec<Vec<IntervalSignature>>,
 }
 
 impl SignatureExtractor {
     pub fn new(n_procs: usize, dist: Vec<f64>, geometry: DetectorGeometry) -> Self {
-        Self {
-            bbv: (0..n_procs)
-                .map(|_| BbvAccumulator::new(geometry.bbv_entries))
-                .collect(),
-            ddv: DdvState::new(n_procs, dist),
-            availability: None,
-            scratch_sample: DdsSample::empty(),
-            signatures: vec![Vec::new(); n_procs],
-        }
+        Self::with_availability(n_procs, dist, geometry, AvailabilityModel::reliable())
     }
 
     /// An extractor whose DDV row gathers are subject to `model`'s
@@ -230,63 +293,35 @@ impl SignatureExtractor {
         geometry: DetectorGeometry,
         model: AvailabilityModel,
     ) -> Self {
-        let mut e = Self::new(n_procs, dist, geometry);
-        if model.miss_ppm > 0 {
-            e.availability = Some((model, DegradedCollector::new(n_procs)));
+        Self {
+            gather: Gather::new(n_procs, dist, geometry, model),
+            signatures: vec![Vec::new(); n_procs],
         }
-        e
-    }
-
-    /// Total signatures extracted across all processors.
-    pub fn total_signatures(&self) -> usize {
-        self.signatures.iter().map(|s| s.len()).sum()
-    }
-
-    /// Drain the extracted signatures (streaming callers forward them to
-    /// the server between simulation slices).
-    pub fn take_signatures(&mut self) -> Vec<Vec<IntervalSignature>> {
-        std::mem::replace(&mut self.signatures, vec![Vec::new(); self.bbv.len()])
     }
 }
 
 impl SimObserver for SignatureExtractor {
     #[inline]
     fn on_block_commit(&mut self, proc: usize, bb: u32, insns: u32) {
-        self.bbv[proc].record(bb, insns);
+        self.gather.bbv[proc].record(bb, insns);
     }
 
     #[inline]
     fn on_mem_commit(&mut self, proc: usize, home: usize, _addr: u64, _write: bool) {
-        self.ddv.record_access(proc, home);
+        self.gather.ddv.record_access(proc, home);
     }
 
     fn on_interval(&mut self, proc: usize, stats: IntervalStats) {
-        // Same gather as the online detector, bit for bit.
-        let degraded = match &mut self.availability {
-            None => {
-                self.ddv.end_interval_into(proc, &mut self.scratch_sample);
-                false
-            }
-            Some((model, coll)) => {
-                let staleness = coll.end_interval_into(
-                    &mut self.ddv,
-                    proc,
-                    &mut self.scratch_sample,
-                    |q| !model.row_missed(proc, q, stats.index),
-                );
-                staleness > model.max_staleness
-            }
-        };
+        let (bbv, dds, degraded) = self.gather.end_interval(proc, stats);
         self.signatures[proc].push(IntervalSignature {
             proc,
             index: stats.index,
             insns: stats.insns,
             cycles: stats.cycles,
-            bbv: self.bbv[proc].normalized(),
-            dds: self.scratch_sample.dds,
+            bbv: bbv.to_vec(),
+            dds,
             degraded,
         });
-        self.bbv[proc].reset();
     }
 }
 

@@ -5,9 +5,39 @@
 use proptest::prelude::*;
 
 use dsm_phase::bbv::BbvAccumulator;
-use dsm_phase::ddv::{FrequencyMatrix, NaiveFrequencyMatrix};
+use dsm_phase::ddv::FrequencyMatrix;
 use dsm_phase::distance::{manhattan, relative_diff};
 use dsm_phase::footprint::FootprintTable;
+
+/// Literal implementation of the paper's hardware: n×n counters, all rows
+/// incremented on every commit. The oracle for [`FrequencyMatrix`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct NaiveFrequencyMatrix {
+    n: usize,
+    /// `counts[i][j]`: accesses to home j on behalf of requester i.
+    counts: Vec<u64>,
+}
+
+impl NaiveFrequencyMatrix {
+    fn new(n: usize) -> Self {
+        Self { n, counts: vec![0; n * n] }
+    }
+
+    fn record(&mut self, home: usize) {
+        // "Every time processor p commits a load or a store ... it
+        // increments all F_kj, 1 <= k <= n."
+        for i in 0..self.n {
+            self.counts[i * self.n + home] += 1;
+        }
+    }
+
+    fn query(&mut self, i: usize) -> Vec<u64> {
+        let row = &mut self.counts[i * self.n..(i + 1) * self.n];
+        let out = row.to_vec();
+        row.iter_mut().for_each(|c| *c = 0);
+        out
+    }
+}
 
 #[derive(Debug, Clone)]
 enum FmOp {

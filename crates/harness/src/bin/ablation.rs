@@ -12,18 +12,7 @@ use dsm_harness::trace::capture_cached;
 use dsm_harness::{parallel, report};
 use dsm_workloads::{App, Scale};
 
-fn parse_scale() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(|s| s.as_str()) {
-            Some("test") => Scale::Test,
-            Some("scaled") => Scale::Scaled,
-            Some("paper") => Scale::Paper,
-            other => panic!("unknown scale {other:?} (test|scaled|paper)"),
-        },
-        None => Scale::Scaled,
-    }
-}
+const USAGE: &str = "ablation [--scale test|scaled|paper] [--jobs N] [--cold] [--no-cache]";
 
 fn summarize(c: &CovCurve) -> String {
     let at = |k: f64| {
@@ -35,7 +24,7 @@ fn summarize(c: &CovCurve) -> String {
 }
 
 fn main() {
-    let scale = parse_scale();
+    let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
     let jobs = parallel::init_from_args();
     eprintln!("ablation: running with {jobs} worker(s)");
     let n_procs = 32usize;

@@ -12,23 +12,12 @@ use dsm_harness::trace::capture_cached;
 use dsm_harness::{parallel, report};
 use dsm_workloads::{App, Scale};
 
-fn arg_after(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const USAGE: &str =
+    "baselines [--scale test|scaled|paper] [--procs N] [--jobs N] [--cold] [--no-cache]";
 
 fn main() {
-    let scale = match arg_after("--scale").as_deref() {
-        Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        None | Some("scaled") => Scale::Scaled,
-        other => panic!("unknown scale {other:?}"),
-    };
-    let n_procs: usize = arg_after("--procs")
-        .map(|s| s.parse().unwrap())
-        .unwrap_or(32);
+    let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
+    let n_procs: usize = report::flag_or_exit("--procs", 32, USAGE);
     let jobs = parallel::init_from_args();
     eprintln!("baselines: running with {jobs} worker(s)");
 

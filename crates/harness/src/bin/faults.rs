@@ -25,8 +25,12 @@ use dsm_workloads::{App, Scale};
 
 /// `--resume <ckpt>`: restore the checkpoint, run to completion, report.
 fn resume_mode(path: &str) {
-    let bytes = std::fs::read(path).expect("read checkpoint file");
-    let ck = Checkpoint::decode(&bytes).expect("decode checkpoint");
+    let fail = |e: &dyn std::fmt::Display| -> ! {
+        eprintln!("error: {path}: {e}");
+        std::process::exit(1)
+    };
+    let bytes = std::fs::read(path).unwrap_or_else(|e| fail(&e));
+    let ck = Checkpoint::decode(&bytes).unwrap_or_else(|e| fail(&e));
     let trace = resume_to_end(&bytes);
     let pairs = vec![
         ("app".to_string(), ck.meta.app.name().to_string()),

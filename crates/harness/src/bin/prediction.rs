@@ -7,25 +7,15 @@
 use dsm_harness::figures::config_at;
 use dsm_harness::report;
 use dsm_harness::trace::capture_cached;
-use dsm_phase::detector::{DetectorMode, Thresholds, TraceClassifier};
+use dsm_phase::detector::{DetectorMode, Thresholds};
+use dsm_phase::ClassifierBank;
 use dsm_phase::predictor::{accuracy_over, LastPhasePredictor, RlePredictor};
 use dsm_workloads::{App, Scale};
 
-fn parse_scale() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(|s| s.as_str()) {
-            Some("test") => Scale::Test,
-            Some("scaled") => Scale::Scaled,
-            Some("paper") => Scale::Paper,
-            other => panic!("unknown scale {other:?} (test|scaled|paper)"),
-        },
-        None => Scale::Scaled,
-    }
-}
+const USAGE: &str = "prediction [--scale test|scaled|paper]";
 
 fn main() {
-    let scale = parse_scale();
+    let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
     let mut out =
         String::from("Phase prediction accuracy (mean over processors; higher is better)\n\n");
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -48,8 +38,10 @@ fn main() {
                 ),
             ] {
                 let (mut last_sum, mut rle_sum) = (0.0, 0.0);
-                for records in &trace.records {
-                    let ids = TraceClassifier::classify_proc(records, mode, thr, 32);
+                let mut bank = ClassifierBank::new(trace.records.len(), mode, thr, 32);
+                for (p, records) in trace.records.iter().enumerate() {
+                    let ids: Vec<u32> =
+                        bank.classify_records(p, records).map(|c| c.phase_id).collect();
                     last_sum += accuracy_over(&mut LastPhasePredictor::new(), &ids);
                     rle_sum += accuracy_over(&mut RlePredictor::new(64), &ids);
                 }

@@ -39,29 +39,12 @@ fn render(points: &[ScalePoint]) -> String {
     t.render()
 }
 
+const USAGE: &str = "scale [--samples N] [--app NAME] [--jobs N]";
+
 fn main() {
     parallel::jobs_from_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut samples = 3usize;
-    let mut app = App::Ocean;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--samples" => {
-                samples = args[i + 1].parse().expect("--samples N");
-                i += 2;
-            }
-            "--app" => {
-                let name = args[i + 1].to_lowercase();
-                app = *App::EXTENDED
-                    .iter()
-                    .find(|a| a.name().to_lowercase() == name)
-                    .unwrap_or_else(|| panic!("unknown app {:?}", args[i + 1]));
-                i += 2;
-            }
-            _ => i += 1,
-        }
-    }
+    let samples: usize = report::flag_or_exit("--samples", 3, USAGE);
+    let app = report::flag_or_exit("--app", App::Ocean, USAGE);
 
     let points = scale_sweep(app, samples);
     let out = render(&points);

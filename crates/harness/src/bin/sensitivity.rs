@@ -14,18 +14,7 @@ use dsm_harness::sensitivity::{
 use dsm_harness::{parallel, report};
 use dsm_workloads::{App, Scale};
 
-fn parse_scale() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(|s| s.as_str()) {
-            Some("test") => Scale::Test,
-            Some("scaled") => Scale::Scaled,
-            Some("paper") => Scale::Paper,
-            other => panic!("unknown scale {other:?} (test|scaled|paper)"),
-        },
-        None => Scale::Scaled,
-    }
-}
+const USAGE: &str = "sensitivity [--scale test|scaled|paper] [--jobs N]";
 
 fn fmt(x: Option<f64>) -> String {
     x.map(|v| format!("{v:.3}"))
@@ -62,7 +51,7 @@ fn render(title: &str, pts: &[SensitivityPoint], out: &mut String, rows: &mut Ve
 }
 
 fn main() {
-    let scale = parse_scale();
+    let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
     let jobs = parallel::jobs_from_args();
     eprintln!("sensitivity: running with {jobs} worker(s)");
     let mut out = String::from("Sensitivity studies (32P unless noted)\n\n");

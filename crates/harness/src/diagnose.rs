@@ -23,9 +23,9 @@
 //! reconfiguration counters every node sees identically.
 
 use dsm_diagnose::{diagnose, DiagnoseConfig, Diagnosis, NodeTelemetry};
-use dsm_phase::detector::{DetectorGeometry, DetectorMode, TraceClassifier, TraceCollector};
+use dsm_phase::detector::{DetectorGeometry, DetectorMode, TraceCollector};
 use dsm_phase::stream::PhaseStream;
-use dsm_phase::{ClassifiedInterval, DEFAULT_FOOTPRINT_VECTORS};
+use dsm_phase::{ClassifierBank, DEFAULT_FOOTPRINT_VECTORS};
 use dsm_sim::config::{DistributionPolicy, FaultPlan};
 use dsm_sim::network::Network;
 use dsm_sim::system::System;
@@ -137,38 +137,17 @@ pub fn straggler_plan(app: App, golden: &SystemTrace) -> (FaultPlan, u64, u64) {
 /// Classify a captured trace per node at the sweep thresholds and thread
 /// the result through the shared [`PhaseStream`] type.
 pub fn classified_streams(trace: &SystemTrace) -> Vec<PhaseStream> {
+    let mut bank = ClassifierBank::new(
+        trace.records.len(),
+        DetectorMode::BbvDdv,
+        SWEEP_THRESHOLDS,
+        DEFAULT_FOOTPRINT_VECTORS,
+    );
     trace
         .records
         .iter()
         .enumerate()
-        .map(|(p, recs)| {
-            let ids = TraceClassifier::classify_proc(
-                recs,
-                DetectorMode::BbvDdv,
-                SWEEP_THRESHOLDS,
-                DEFAULT_FOOTPRINT_VECTORS,
-            );
-            let mut seen: Vec<u32> = Vec::new();
-            let intervals: Vec<ClassifiedInterval> = recs
-                .iter()
-                .zip(&ids)
-                .map(|(r, &id)| {
-                    let is_new = !seen.contains(&id);
-                    if is_new {
-                        seen.push(id);
-                    }
-                    ClassifiedInterval {
-                        proc: p,
-                        index: r.index,
-                        phase_id: id,
-                        is_new_phase: is_new,
-                        cpi: r.cpi(),
-                        degraded: false,
-                    }
-                })
-                .collect();
-            PhaseStream::from_intervals(p, intervals)
-        })
+        .map(|(p, recs)| PhaseStream::from_intervals(p, bank.classify_records(p, recs).collect()))
         .collect()
 }
 

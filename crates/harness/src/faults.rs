@@ -17,8 +17,8 @@
 //!   surface as a runaway slowdown factor.
 
 use dsm_analysis::cov::PhaseGroups;
-use dsm_phase::detector::{DetectorMode, Thresholds, TraceClassifier};
-use dsm_phase::DEFAULT_FOOTPRINT_VECTORS;
+use dsm_phase::detector::{DetectorMode, Thresholds};
+use dsm_phase::{ClassifierBank, DEFAULT_FOOTPRINT_VECTORS};
 use dsm_sim::config::FaultPlan;
 use dsm_workloads::App;
 
@@ -72,15 +72,17 @@ pub fn classified_cov(
     mode: DetectorMode,
     thresholds: Thresholds,
 ) -> (f64, f64) {
+    let mut bank =
+        ClassifierBank::new(trace.records.len(), mode, thresholds, DEFAULT_FOOTPRINT_VECTORS);
     let mut groups = PhaseGroups::default();
     let mut covs = Vec::new();
     let mut phases = Vec::new();
-    for recs in &trace.records {
+    for (p, recs) in trace.records.iter().enumerate() {
         if recs.is_empty() {
             continue;
         }
-        let ids = TraceClassifier::classify_proc(recs, mode, thresholds, DEFAULT_FOOTPRINT_VECTORS);
-        let pairs: Vec<(u32, f64)> = ids.iter().zip(recs).map(|(&id, r)| (id, r.cpi())).collect();
+        let pairs: Vec<(u32, f64)> =
+            bank.classify_records(p, recs).map(|c| (c.phase_id, c.cpi)).collect();
         let (cov, n_phases) = groups.cov_and_phases(&pairs);
         covs.push(cov);
         phases.push(n_phases as f64);

@@ -1,5 +1,6 @@
 //! Results-directory output: every experiment binary writes its artefacts
-//! (ASCII rendering + CSV) under `results/` at the workspace root.
+//! (ASCII rendering + CSV) under `results/` at the workspace root. Also the
+//! binaries' shared command-line flag parser.
 
 use std::fs;
 use std::io;
@@ -42,6 +43,27 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> io::Resu
 /// Echo a written path for the user.
 pub fn announce(path: &Path) {
     println!("wrote {}", path.display());
+}
+
+/// The command-line value after `flag` parsed as `T`, or `default` when the
+/// flag is absent. A missing or unparsable value prints the error and
+/// `usage` to stderr and exits with status 2.
+pub fn flag_or_exit<T: std::str::FromStr>(flag: &str, default: T, usage: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    let args: Vec<String> = std::env::args().collect();
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return default;
+    };
+    let parsed = match args.get(i + 1) {
+        Some(v) => v.parse().map_err(|e: T::Err| format!("{flag} {v}: {e}")),
+        None => Err(format!("{flag} needs a value")),
+    };
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {usage}");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use dsm_analysis::cov::PhaseGroups;
 use dsm_analysis::curve::{CovCurve, CurvePoint};
 use dsm_phase::ddv::DdvState;
 use dsm_phase::detector::IntervalRecord;
-use dsm_phase::distance::{manhattan_concat, relative_diff};
+use dsm_phase::distance::{manhattan, manhattan_concat, relative_diff};
 use dsm_phase::working_set::WsSignature;
 use dsm_phase::{DistanceTriangle, IndexReplay, DEFAULT_FOOTPRINT_VECTORS};
 
@@ -120,7 +120,7 @@ fn point_for(per_proc: &[Vec<(f64, usize)>], k: usize, thr: SweepPoint) -> Curve
 fn bbv_signatures(recs: &[IntervalRecord], dds: Vec<f64>) -> Signatures {
     Signatures {
         distances: DistanceTriangle::build(recs.len(), |i, j| {
-            manhattan_concat(&recs[i].bbv, &[], &recs[j].bbv)
+            manhattan(&recs[i].bbv, &recs[j].bbv)
         }),
         dds,
     }
@@ -257,7 +257,8 @@ pub fn vector_ddv_curve(trace: &SystemTrace, data_weight: f64) -> CovCurve {
             .map(|r| vector_ddv_tail(&r.fvec, ddv.dist_row(p), data_weight))
             .collect();
         // A stored entry is the materialized concatenation; the query is
-        // compared in two segments, exactly as the table does.
+        // compared in two segments, bit-identical to the table's pass over
+        // the concatenated query.
         let sigs: Vec<Vec<f64>> = recs
             .iter()
             .zip(&tails)

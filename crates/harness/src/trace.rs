@@ -18,8 +18,8 @@ use dsm_sim::stats::SystemStats;
 use dsm_sim::system::System;
 use dsm_simpoint::wire::{
     get_app, get_directory_stats, get_fault_stats, get_proc_stats, get_reconfig_stats,
-    get_record, get_scale, put_app, put_directory_stats, put_fault_stats, put_proc_stats,
-    put_reconfig_stats, put_record, put_scale, CodecError, Reader, Writer, RECORD_MIN_BYTES,
+    get_records, get_scale, put_app, put_directory_stats, put_fault_stats, put_proc_stats,
+    put_reconfig_stats, put_records, put_scale, CodecError, Reader, Writer,
 };
 use dsm_workloads::make_stream;
 
@@ -56,13 +56,7 @@ impl SystemTrace {
         put_scale(&mut w, self.config.scale);
         w.u64(self.config.n_procs as u64);
         w.u64(self.config.interval_base);
-        w.u64(self.records.len() as u64);
-        for recs in &self.records {
-            w.u64(recs.len() as u64);
-            for rec in recs {
-                put_record(&mut w, rec);
-            }
-        }
+        put_records(&mut w, &self.records);
         let SystemStats { procs, directory, network, memctrls, faults, reconfig, finish_cycle } =
             &self.stats;
         w.u64(procs.len() as u64);
@@ -102,10 +96,10 @@ impl SystemTrace {
         let scale = get_scale(&mut r)?;
         let n_procs = r.usize_checked("n_procs")?;
         let interval_base = r.u64()?;
-        let records = r.vec(8, |r| r.vec(RECORD_MIN_BYTES, get_record))?;
+        let records = get_records(&mut r, n_procs)?;
         // Each `ProcStats` is 14 counters.
         let procs = r.vec(14 * 8, get_proc_stats)?;
-        if records.len() != n_procs || procs.len() != n_procs {
+        if procs.len() != n_procs {
             return Err(CodecError::BadValue { what: "trace sized for a different machine" });
         }
         let directory = get_directory_stats(&mut r)?;

@@ -12,13 +12,17 @@
 //!   version of the same format (`UnsupportedVersion`).
 //!
 //! Two golden hashes pin the byte layout of fixed fixtures, so a layout
-//! change cannot pass unnoticed.
+//! change cannot pass unnoticed. Values that are well formed but describe
+//! an inconsistent machine (a detector geometry that disagrees with the
+//! collector state, records in the wrong slot or sized for another
+//! machine) decode to `BadValue` rather than panicking on resume.
 
 use proptest::prelude::*;
 
 use dsm_adapt::{AdaptSnap, Decision, DecisionKind, ObservedInterval, PhaseSnap, PhaseStateSnap};
 use dsm_harness::experiment::ExperimentConfig;
 use dsm_harness::parallel::fnv1a64;
+use dsm_harness::simpoint::capture_checkpoint_every;
 use dsm_harness::trace::{self, SystemTrace, TRACE_MAGIC};
 use dsm_phase::ddv::{DdvSnap, FrequencySnap};
 use dsm_phase::detector::{CollectorState, DetectorGeometry, IntervalRecord};
@@ -409,7 +413,12 @@ impl Format for Ckpt {
     const MAGIC: &'static [u8] = MAGIC;
     const VERSION_AT: usize = 7;
     fn synth(seed: u64, n_procs: usize, n_recs: usize) -> Checkpoint {
-        synth_checkpoint(seed, n_procs, n_recs)
+        // The golden hash pins `synth_checkpoint`'s default geometry; a
+        // decodable checkpoint needs the geometry of its 4-bucket BBV rows
+        // and 2-word working-set rows.
+        let mut ck = synth_checkpoint(seed, n_procs, n_recs);
+        ck.meta.geometry = DetectorGeometry { bbv_entries: 4, footprint_vectors: 32, ws_bits: 128 };
+        ck
     }
     fn encode(v: &Checkpoint) -> Vec<u8> {
         v.encode()
@@ -581,5 +590,74 @@ fn every_prefix_of_a_captured_trace_errors() {
     let bytes = trace::capture(ExperimentConfig::test(App::Lu, 2)).encode();
     for cut in 0..bytes.len() {
         assert!(SystemTrace::decode(&bytes[..cut]).is_err(), "prefix of {cut} bytes decoded");
+    }
+}
+
+/// A named edit that leaves a value well formed but inconsistent.
+type Corruption<T> = (&'static str, fn(&mut T));
+
+fn assert_bad_value<T: std::fmt::Debug>(decoded: Result<T, CodecError>, what: &str) {
+    assert!(matches!(decoded, Err(CodecError::BadValue { .. })), "{what}: {decoded:?}");
+}
+
+/// Each corruption of a valid `F` value encodes to bytes that decode to
+/// `BadValue`.
+fn bad_values<F: Format>(cases: &[Corruption<F::Value>])
+where
+    F::Value: Clone,
+{
+    let v = F::synth(5, 3, 2);
+    assert_eq!(F::decode(&F::encode(&v)).as_ref(), Ok(&v));
+    for (what, corrupt) in cases {
+        let mut bad = v.clone();
+        corrupt(&mut bad);
+        assert_bad_value(F::decode(&F::encode(&bad)), what);
+    }
+}
+
+/// Geometry or records that disagree with the rest of a checkpoint fail to
+/// decode instead of panicking when the checkpoint is resumed.
+#[test]
+fn inconsistent_checkpoints_are_bad_values() {
+    bad_values::<Ckpt>(&[
+        ("zero bbv_entries", |c| c.meta.geometry.bbv_entries = 0),
+        ("zero footprint_vectors", |c| c.meta.geometry.footprint_vectors = 0),
+        ("zero ws_bits", |c| c.meta.geometry.ws_bits = 0),
+        ("ws_bits not a multiple of 64", |c| c.meta.geometry.ws_bits = 100),
+        ("bbv_entries differs from the rows", |c| c.meta.geometry.bbv_entries = 33),
+        ("ws_bits differs from the rows", |c| c.meta.geometry.ws_bits = 2048),
+        ("short BBV row", |c| c.collector.bbv[1].truncate(3)),
+        ("long working-set row", |c| c.collector.ws[0].push(0)),
+        ("record in another processor's slot", |c| c.collector.records[1][0].proc = 0),
+        ("short fvec", |c| c.collector.records[0][1].fvec.truncate(2)),
+        ("long cvec", |c| c.collector.records[2][0].cvec.push(1)),
+    ]);
+}
+
+/// The trace decoder applies the same record checks.
+#[test]
+fn inconsistent_trace_records_are_bad_values() {
+    bad_values::<Trace>(&[
+        ("record in another processor's slot", |t| t.records[2][1].proc = 1),
+        ("short fvec", |t| t.records[1][0].fvec.truncate(2)),
+        ("long cvec", |t| t.records[0][0].cvec.push(1)),
+    ]);
+}
+
+/// A real LU-2P checkpoint re-encoded with another geometry is rejected.
+#[test]
+fn captured_checkpoint_with_another_geometry_is_a_bad_value() {
+    let lu = ExperimentConfig::test(App::Lu, 2);
+    let (ckpts, _) = capture_checkpoint_every(lu, FaultPlan::none(), 4);
+    let ck = Checkpoint::decode(&ckpts[0].1).unwrap();
+    let default = DetectorGeometry::default();
+    for geometry in [
+        DetectorGeometry { bbv_entries: 33, ..default },
+        DetectorGeometry { ws_bits: 2048, ..default },
+        DetectorGeometry { bbv_entries: 0, ..default },
+    ] {
+        let mut bad = ck.clone();
+        bad.meta.geometry = geometry;
+        assert_bad_value(Checkpoint::decode(&bad.encode()), &format!("{geometry:?}"));
     }
 }

@@ -11,8 +11,8 @@
 
 use dsm_harness::experiment::ExperimentConfig;
 use dsm_harness::trace::{capture_sharded_with, capture_with_faults, SystemTrace};
-use dsm_phase::detector::{DetectorMode, Thresholds, TraceClassifier};
-use dsm_phase::DEFAULT_FOOTPRINT_VECTORS;
+use dsm_phase::detector::{DetectorMode, Thresholds};
+use dsm_phase::{ClassifierBank, DEFAULT_FOOTPRINT_VECTORS};
 use dsm_sim::config::FaultPlan;
 use dsm_workloads::App;
 
@@ -28,17 +28,17 @@ fn diff_threads() -> usize {
 
 /// Phase ids per processor under the paper's combined BBV+DDV detector.
 fn classify(trace: &SystemTrace) -> Vec<Vec<u32>> {
+    let mut bank = ClassifierBank::new(
+        trace.records.len(),
+        DetectorMode::BbvDdv,
+        Thresholds { bbv: 0.1, dds: 0.1 },
+        DEFAULT_FOOTPRINT_VECTORS,
+    );
     trace
         .records
         .iter()
-        .map(|r| {
-            TraceClassifier::classify_proc(
-                r,
-                DetectorMode::BbvDdv,
-                Thresholds { bbv: 0.1, dds: 0.1 },
-                DEFAULT_FOOTPRINT_VECTORS,
-            )
-        })
+        .enumerate()
+        .map(|(p, r)| bank.classify_records(p, r).map(|c| c.phase_id).collect())
         .collect()
 }
 

@@ -19,10 +19,12 @@ use dsm_harness::sweep::{
 };
 use dsm_harness::trace::{capture, SystemTrace};
 use dsm_phase::ddv::DdvState;
-use dsm_phase::detector::{DetectorMode, IntervalRecord, Thresholds, TraceClassifier};
+use dsm_phase::detector::{DetectorMode, IntervalRecord, Thresholds};
 use dsm_phase::distance::{manhattan_concat, relative_diff};
 use dsm_phase::working_set::WsSignature;
-use dsm_phase::{DistanceTriangle, FootprintTable, IndexReplay, DEFAULT_FOOTPRINT_VECTORS};
+use dsm_phase::{
+    ClassifierBank, DistanceTriangle, FootprintTable, IndexReplay, DEFAULT_FOOTPRINT_VECTORS,
+};
 use dsm_sim::util::splitmix64;
 use dsm_workloads::App;
 
@@ -62,25 +64,22 @@ fn classify_proc_vector_ddv(
     footprint_vectors: usize,
 ) -> Vec<u32> {
     let mut table = FootprintTable::new(footprint_vectors);
-    let mut tail: Vec<f64> = Vec::new();
     records
         .iter()
         .map(|r| {
-            tail.clear();
+            let mut sig = r.bbv.clone();
             let mut total = 0.0;
             for (&f, &d) in r.fvec.iter().zip(dist_row) {
                 let w = f as f64 * d;
                 total += w;
-                tail.push(w);
+                sig.push(w);
             }
             if total > 0.0 {
-                for w in tail.iter_mut() {
+                for w in &mut sig[r.bbv.len()..] {
                     *w = *w / total * data_weight;
                 }
             }
-            table
-                .classify_split(&r.bbv, &tail, 0.0, bbv_threshold, None)
-                .phase_id
+            table.classify(&sig, 0.0, bbv_threshold, None).phase_id
         })
         .collect()
 }
@@ -181,7 +180,8 @@ fn branch_ids(recs: &[IntervalRecord], thr: f64, cap: usize) -> Vec<u32> {
 }
 
 fn bbv_ids(recs: &[IntervalRecord], mode: DetectorMode, t: Thresholds, cap: usize) -> Vec<u32> {
-    TraceClassifier::classify_proc(recs, mode, t, cap)
+    let mut bank = ClassifierBank::new(1, mode, t, cap);
+    bank.classify_records(0, recs).map(|c| c.phase_id).collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ use dsm_workloads::{App, Scale};
 
 use crate::wire::{
     get_app, get_directory_stats, get_fault_stats, get_proc_stats, get_reconfig_stats,
-    get_record, get_scale, put_app, put_directory_stats, put_fault_stats, put_proc_stats,
-    put_reconfig_stats, put_record, put_scale, CodecError, Reader, Writer, D, RECORD_MIN_BYTES,
+    get_records, get_scale, put_app, put_directory_stats, put_fault_stats, put_proc_stats,
+    put_reconfig_stats, put_records, put_scale, CodecError, Reader, Writer, D,
 };
 
 /// Magic prefix: format name plus version digit. Version 2 added the
@@ -439,16 +439,10 @@ fn put_collector(w: &mut Writer, c: &CollectorState) {
     w.u64(c.ddv.queries);
     w.u64(c.ddv.vectors_exchanged);
     w.u64(c.ddv.gather_rounds);
-    w.u64(c.records.len() as u64);
-    for recs in &c.records {
-        w.u64(recs.len() as u64);
-        for rec in recs {
-            put_record(w, rec);
-        }
-    }
+    put_records(w, &c.records);
 }
 
-fn get_collector(r: &mut Reader, n_procs: usize) -> D<CollectorState> {
+fn get_collector(r: &mut Reader, n_procs: usize, geometry: DetectorGeometry) -> D<CollectorState> {
     let bbv = r.vec(8, Reader::vec_u64)?;
     let ws = r.vec(8, Reader::vec_u64)?;
     let branches = r.vec_u64()?;
@@ -461,18 +455,22 @@ fn get_collector(r: &mut Reader, n_procs: usize) -> D<CollectorState> {
         vectors_exchanged: r.u64()?,
         gather_rounds: r.u64()?,
     };
-    let records = r.vec(8, |r| r.vec(RECORD_MIN_BYTES, get_record))?;
+    let records = get_records(r, n_procs)?;
     let c = CollectorState { bbv, ws, branches, ddv, records };
     if c.bbv.len() != n_procs
         || c.ws.len() != n_procs
         || c.branches.len() != n_procs
         || c.ddv.mats.len() != n_procs
-        || c.records.len() != n_procs
         || c.ddv.gcum.len() != n_procs
         || c.ddv.gsnap.len() != n_procs * n_procs
         || c.ddv.mats.iter().any(|m| m.cum.len() != n_procs || m.snap.len() != n_procs * n_procs)
     {
         return Err(bad("collector sized for a different machine"));
+    }
+    if c.bbv.iter().any(|b| b.len() != geometry.bbv_entries)
+        || c.ws.iter().any(|w| w.len() * 64 != geometry.ws_bits)
+    {
+        return Err(bad("collector rows differ from the detector geometry"));
     }
     Ok(c)
 }
@@ -658,6 +656,13 @@ impl Checkpoint {
             footprint_vectors: r.usize_checked("footprint_vectors")?,
             ws_bits: r.usize_checked("ws_bits")?,
         };
+        if geometry.bbv_entries == 0
+            || geometry.footprint_vectors == 0
+            || geometry.ws_bits == 0
+            || !geometry.ws_bits.is_multiple_of(64)
+        {
+            return Err(bad("detector geometry"));
+        }
         let interval_index = r.u64()?;
         let shards = r.usize_checked("shards")?;
         if shards > n_procs {
@@ -667,7 +672,7 @@ impl Checkpoint {
         if system.procs.len() != n_procs {
             return Err(bad("system sized for a different machine"));
         }
-        let collector = get_collector(&mut r, n_procs)?;
+        let collector = get_collector(&mut r, n_procs, geometry)?;
         let adapt = match r.tag("adapt presence", 2)? {
             0 => None,
             _ => Some(get_adapt(&mut r)?),
@@ -744,7 +749,7 @@ mod tests {
                 topology: TopologyKind::Torus2D,
                 link_contention: true,
                 plan: FaultPlan::mixed(7, 0.01),
-                geometry: DetectorGeometry::default(),
+                geometry: DetectorGeometry { bbv_entries: 3, footprint_vectors: 32, ws_bits: 64 },
                 interval_index: 7,
                 shards: 0,
             },

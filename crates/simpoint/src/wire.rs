@@ -251,35 +251,64 @@ pub fn get_scale(r: &mut Reader) -> D<Scale> {
 
 /// Smallest encoding of an [`IntervalRecord`] (all vectors empty), the
 /// pre-allocation floor for record-vector length prefixes.
-pub const RECORD_MIN_BYTES: usize = 80;
+const RECORD_MIN_BYTES: usize = 80;
 
-pub fn put_record(w: &mut Writer, rec: &IntervalRecord) {
-    let IntervalRecord { proc, index, insns, cycles, bbv, fvec, cvec, dds, ws_sig, branches } = rec;
-    w.u64(*proc as u64);
-    w.u64(*index);
-    w.u64(*insns);
-    w.u64(*cycles);
-    w.vec_f64(bbv);
-    w.vec_u64(fvec);
-    w.vec_u64(cvec);
-    w.f64(*dds);
-    w.vec_u64(ws_sig);
-    w.u64(*branches);
+/// Per-processor interval records, in processor order.
+pub fn put_records(w: &mut Writer, records: &[Vec<IntervalRecord>]) {
+    w.u64(records.len() as u64);
+    for recs in records {
+        w.u64(recs.len() as u64);
+        for rec in recs {
+            let IntervalRecord {
+                proc, index, insns, cycles, bbv, fvec, cvec, dds, ws_sig, branches,
+            } = rec;
+            w.u64(*proc as u64);
+            w.u64(*index);
+            w.u64(*insns);
+            w.u64(*cycles);
+            w.vec_f64(bbv);
+            w.vec_u64(fvec);
+            w.vec_u64(cvec);
+            w.f64(*dds);
+            w.vec_u64(ws_sig);
+            w.u64(*branches);
+        }
+    }
 }
 
-pub fn get_record(r: &mut Reader) -> D<IntervalRecord> {
-    Ok(IntervalRecord {
-        proc: r.usize_checked("record proc")?,
-        index: r.u64()?,
-        insns: r.u64()?,
-        cycles: r.u64()?,
-        bbv: r.vec_f64()?,
-        fvec: r.vec_u64()?,
-        cvec: r.vec_u64()?,
-        dds: r.f64()?,
-        ws_sig: r.vec_u64()?,
-        branches: r.u64()?,
-    })
+/// [`put_records`]' inverse for an `n_procs` machine: one list per
+/// processor, every record in its own processor's slot, with `n_procs`-long
+/// `F_i` and `C` vectors.
+pub fn get_records(r: &mut Reader, n_procs: usize) -> D<Vec<Vec<IntervalRecord>>> {
+    let records = r.vec(8, |r| {
+        r.vec(RECORD_MIN_BYTES, |r| {
+            Ok(IntervalRecord {
+                proc: r.usize_checked("record proc")?,
+                index: r.u64()?,
+                insns: r.u64()?,
+                cycles: r.u64()?,
+                bbv: r.vec_f64()?,
+                fvec: r.vec_u64()?,
+                cvec: r.vec_u64()?,
+                dds: r.f64()?,
+                ws_sig: r.vec_u64()?,
+                branches: r.u64()?,
+            })
+        })
+    })?;
+    let bad = |what| Err(CodecError::BadValue { what });
+    if records.len() != n_procs {
+        return bad("records sized for a different machine");
+    }
+    for (slot, recs) in records.iter().enumerate() {
+        if recs.iter().any(|rec| rec.proc != slot) {
+            return bad("record proc differs from its slot");
+        }
+        if recs.iter().any(|rec| rec.fvec.len() != n_procs || rec.cvec.len() != n_procs) {
+            return bad("record F_i/C length differs from n_procs");
+        }
+    }
+    Ok(records)
 }
 
 /// `put_*`/`get_*` for a struct of `u64` counters, from one field list:

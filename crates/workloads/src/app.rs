@@ -98,6 +98,18 @@ impl std::str::FromStr for App {
     }
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "test" => Ok(Scale::Test),
+            "scaled" => Ok(Scale::Scaled),
+            "paper" => Ok(Scale::Paper),
+            other => Err(format!("unknown scale '{other}' (test|scaled|paper)")),
+        }
+    }
+}
+
 /// Build a buffered instruction stream for an application.
 pub fn make_stream(app: App, n_procs: usize, scale: Scale) -> ChunkedStream<Box<dyn Workload>> {
     ChunkedStream::new(app.build(n_procs, scale))
@@ -112,6 +124,14 @@ mod tests {
         assert_eq!("lu".parse::<App>().unwrap(), App::Lu);
         assert_eq!("EQUAKE".parse::<App>().unwrap(), App::Equake);
         assert!("mp3d".parse::<App>().is_err());
+    }
+
+    #[test]
+    fn scale_parsing() {
+        assert_eq!("test".parse::<Scale>().unwrap(), Scale::Test);
+        assert_eq!("scaled".parse::<Scale>().unwrap(), Scale::Scaled);
+        assert_eq!("paper".parse::<Scale>().unwrap(), Scale::Paper);
+        assert!("huge".parse::<Scale>().is_err());
     }
 
     #[test]

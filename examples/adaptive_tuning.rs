@@ -31,8 +31,9 @@ fn main() {
             let mut total_phases = 0usize;
             let mut outcome_sum = (0usize, 0usize, 0.0f64, 0.0f64, 0.0f64);
             let mut predicted_cycles = 0.0f64;
-            for records in &trace.records {
-                let ids = TraceClassifier::classify_proc(records, mode, thr, 32);
+            let mut bank = ClassifierBank::new(n_procs, mode, thr, 32);
+            for (p, records) in trace.records.iter().enumerate() {
+                let ids: Vec<u32> = bank.classify_records(p, records).map(|c| c.phase_id).collect();
                 let pairs: Vec<(u32, f64)> =
                     ids.iter().zip(records).map(|(&i, r)| (i, r.cpi())).collect();
                 total_phases += dsm_phase_detection::analysis::cov::phase_count(&pairs);

@@ -19,18 +19,12 @@ fn main() {
     let proc = 1;
     let records = &trace.records[proc];
 
-    let bbv_ids = TraceClassifier::classify_proc(
-        records,
-        DetectorMode::Bbv,
-        thresholds,
-        32,
-    );
-    let ddv_ids = TraceClassifier::classify_proc(
-        records,
-        DetectorMode::BbvDdv,
-        thresholds,
-        32,
-    );
+    let phase_ids = |mode| -> Vec<u32> {
+        let mut bank = ClassifierBank::new(n_procs, mode, thresholds, 32);
+        bank.classify_records(proc, records).map(|c| c.phase_id).collect()
+    };
+    let bbv_ids = phase_ids(DetectorMode::Bbv);
+    let ddv_ids = phase_ids(DetectorMode::BbvDdv);
 
     println!("LU on {n_procs} processors, proc {proc}: {} intervals", records.len());
     println!("{:<10} {:>8} {:>12} {:>10} {:>10}", "interval", "CPI", "DDS", "BBV-phase", "DDV-phase");

@@ -24,8 +24,9 @@ fn main() {
             let mut last_acc = 0.0;
             let mut rle_acc = 0.0;
             let mut n = 0usize;
-            for records in &trace.records {
-                let ids = TraceClassifier::classify_proc(records, mode, thr, 32);
+            let mut bank = ClassifierBank::new(n_procs, mode, thr, 32);
+            for (p, records) in trace.records.iter().enumerate() {
+                let ids: Vec<u32> = bank.classify_records(p, records).map(|c| c.phase_id).collect();
                 let mut last = LastPhasePredictor::new();
                 last_acc += accuracy_over(&mut last, &ids);
                 let mut rle = RlePredictor::new(64);

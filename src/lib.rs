@@ -46,10 +46,9 @@ pub mod prelude {
     pub use dsm_harness::sweep::{bbv_curve, bbv_ddv_curve};
     pub use dsm_harness::trace::{capture, capture_cached, SystemTrace};
     pub use dsm_phase::detector::{
-        DetectorGeometry, DetectorMode, OnlineDetector, Thresholds, TraceClassifier,
-        TraceCollector,
+        DetectorGeometry, DetectorMode, OnlineDetector, Thresholds, TraceCollector,
     };
-    pub use dsm_phase::{BbvAccumulator, DdvState, FootprintTable};
+    pub use dsm_phase::{BbvAccumulator, ClassifierBank, DdvState, FootprintTable};
     pub use dsm_sim::config::SystemConfig;
     pub use dsm_sim::system::System;
     pub use dsm_workloads::{make_stream, App, Scale};

@@ -4,11 +4,11 @@
 //!    is bit-identical to a plain capture: same machine statistics, same
 //!    observer stream, zero reconfiguration counters. Classification and
 //!    the tuning protocol run, but the machine never notices.
-//! 2. **Abstract/concrete agreement** — the §II protocol implemented twice
-//!    (the abstract cost-surface loop in `dsm_harness::adaptive` and the
-//!    live machine loop in `dsm_adapt`) produces *identical decision-key
-//!    sequences* on the same classified stream, degraded intervals
-//!    included.
+//! 2. **Abstract/concrete agreement** — the §II protocol
+//!    (`dsm_adapt::Protocol`), driven by the abstract cost-surface loop in
+//!    `dsm_harness::adaptive` and by the live machine loop in `dsm_adapt`,
+//!    produces *identical decision-key sequences* on the same classified
+//!    stream, degraded intervals included.
 //! 3. **Conservation under faults** — with real actuators reconfiguring
 //!    the machine mid-run under a lossy fault plan, every workload still
 //!    completes and the coherence conservation invariant holds.

@@ -28,8 +28,10 @@ fn check_equivalence(app: App, n_procs: usize, mode: DetectorMode, thr: Threshol
     let stream = make_stream(app, n_procs, Scale::Test);
     let (_, online) = System::new(sys_cfg, stream, online).run();
 
+    let mut bank = ClassifierBank::new(n_procs, mode, thr, 32);
     for proc in 0..n_procs {
-        let offline = TraceClassifier::classify_proc(&trace.records[proc], mode, thr, 32);
+        let offline: Vec<u32> =
+            bank.classify_records(proc, &trace.records[proc]).map(|c| c.phase_id).collect();
         let online_ids: Vec<u32> =
             online.classified[proc].iter().map(|c| c.phase_id).collect();
         assert_eq!(
