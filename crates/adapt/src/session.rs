@@ -154,7 +154,7 @@ impl<S: InstructionStream> AdaptSession<S> {
     /// Wrap a freshly built system (same construction as a plain capture).
     /// Calls [`Actuator::prepare`] immediately.
     pub fn new(mut sys: System<S, TraceCollector>, mut actuator: Box<dyn Actuator>, cfg: AdaptConfig) -> Self {
-        let n_procs = sys.observer().records.len();
+        let n_procs = sys.observer().n_procs();
         let geometry = sys.observer().geometry();
         actuator.prepare(&mut sys);
         Self {
@@ -181,18 +181,18 @@ impl<S: InstructionStream> AdaptSession<S> {
         cfg: AdaptConfig,
         snap: &AdaptSnap,
     ) -> Self {
-        let n_procs = sys.observer().records.len();
+        let n_procs = sys.observer().n_procs();
         let geometry = sys.observer().geometry();
         actuator.prepare(&mut sys);
         actuator.import(&snap.actuator);
         let mut bank =
             ClassifierBank::new(n_procs, cfg.mode, cfg.thresholds, geometry.footprint_vectors);
         assert!(
-            sys.observer().records[0].len() >= snap.processed as usize,
+            sys.observer().records(0).len() >= snap.processed as usize,
             "restored collector holds fewer proc-0 records than the session consumed"
         );
         for (i, obs) in snap.stream.iter().enumerate() {
-            let r = &sys.observer().records[0][i];
+            let r = &sys.observer().records(0)[i];
             debug_assert_eq!(r.index, obs.index);
             let ci = bank.classify_raw(0, r.index, r.cpi(), &r.bbv, r.dds, obs.degraded);
             debug_assert_eq!(ci.phase_id, obs.phase, "replayed classification diverged");
@@ -245,9 +245,9 @@ impl<S: InstructionStream> AdaptSession<S> {
     /// Classify and feed every proc-0 record not yet consumed, applying the
     /// actuator after each protocol step.
     fn drain_records(&mut self) {
-        while (self.processed as usize) < self.sys.observer().records[0].len() {
+        while (self.processed as usize) < self.sys.observer().records(0).len() {
             let (obs, next_cfg) = {
-                let r = &self.sys.observer().records[0][self.processed as usize];
+                let r = &self.sys.observer().records(0)[self.processed as usize];
                 let degraded = self.degraded(r.index);
                 let ci = self.bank.classify_raw(0, r.index, r.cpi(), &r.bbv, r.dds, degraded);
                 let obs = ObservedInterval {
@@ -298,7 +298,7 @@ impl<S: InstructionStream> AdaptSession<S> {
         let (stats, collector) = self.sys.run_to_end();
         AdaptOutcome {
             stats,
-            records: collector.records,
+            records: collector.into_records(),
             stream: self.stream,
             decisions,
             retunes,
@@ -325,7 +325,7 @@ pub fn run_locked<S: InstructionStream>(
         actuator.apply(&mut sys, config);
     }
     let (stats, collector) = sys.run_to_end();
-    (stats, collector.records)
+    (stats, collector.into_records())
 }
 
 #[cfg(test)]
@@ -366,7 +366,7 @@ mod tests {
         )
         .run();
         assert_eq!(out.stats, plain_stats);
-        assert_eq!(out.records, plain_coll.records);
+        assert_eq!(out.records, plain_coll.into_records());
         assert!(out.stats.reconfig.is_inert());
         assert!(!out.stream.is_empty());
         assert!(out.retunes >= 1);

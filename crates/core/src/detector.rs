@@ -169,41 +169,37 @@ impl Default for DetectorGeometry {
 // Trace collection (classification-free observer)
 // ---------------------------------------------------------------------------
 
-/// One processor's mid-interval collector accumulators: the BBV, the
-/// working-set signature and the committed branch count.
-#[derive(Clone)]
-pub(crate) struct ProcAccumulators {
+/// One processor's view through one detector geometry: the mid-interval
+/// BBV, working-set signature and committed branch count, and the records
+/// closed so far.
+pub(crate) struct ProcLane {
     bbv: BbvAccumulator,
     ws: WsSignature,
     branches: u64,
+    records: Vec<IntervalRecord>,
 }
 
-impl ProcAccumulators {
+impl ProcLane {
     fn new(geometry: DetectorGeometry) -> Self {
         Self {
             bbv: BbvAccumulator::new(geometry.bbv_entries),
             ws: WsSignature::new(geometry.ws_bits),
             branches: 0,
+            records: Vec::new(),
         }
     }
 
     #[inline]
-    pub(crate) fn on_block_commit(&mut self, bb: u32, insns: u32) {
+    fn on_block_commit(&mut self, bb: u32, insns: u32) {
         self.bbv.record(bb, insns);
         self.ws.insert(bb);
         self.branches += 1;
     }
 
-    /// Close `proc`'s interval: snapshot the accumulators next to the
-    /// gathered DDV `sample` into a record, then reset them. The one record
-    /// assembly of the serial and sharded collectors.
-    pub(crate) fn close(
-        &mut self,
-        proc: usize,
-        stats: IntervalStats,
-        sample: DdsSample,
-    ) -> IntervalRecord {
-        let rec = IntervalRecord {
+    /// Snapshot the accumulators next to the gathered DDV `sample` into a
+    /// record, then reset them.
+    fn close(&mut self, proc: usize, stats: IntervalStats, sample: DdsSample) {
+        self.records.push(IntervalRecord {
             proc,
             index: stats.index,
             insns: stats.insns,
@@ -214,21 +210,51 @@ impl ProcAccumulators {
             dds: sample.dds,
             ws_sig: self.ws.words().to_vec(),
             branches: self.branches,
-        };
+        });
         self.bbv.reset();
         self.ws.clear();
         self.branches = 0;
-        rec
     }
 }
 
+/// Feed one committed block to every lane of a processor.
+#[inline]
+pub(crate) fn commit_block(lanes: &mut [ProcLane], bb: u32, insns: u32) {
+    for lane in lanes {
+        lane.on_block_commit(bb, insns);
+    }
+}
+
+/// Close `proc`'s interval in every lane: each lane snapshots its own
+/// accumulators next to the one gathered DDV `sample`. The one record
+/// assembly of the serial and sharded collectors.
+pub(crate) fn close_interval(
+    lanes: &mut [ProcLane],
+    proc: usize,
+    stats: IntervalStats,
+    sample: DdsSample,
+) {
+    let (first, rest) = lanes.split_first_mut().expect("a collector has at least one lane");
+    for lane in rest {
+        lane.close(proc, stats, sample.clone());
+    }
+    first.close(proc, stats, sample);
+}
+
 /// Records per-interval feature snapshots for offline classification.
+///
+/// A collector observes the run through one or more detector geometries
+/// (*lanes*). Only the BBV, working-set and branch accumulators depend on
+/// the geometry, so each lane keeps its own, while the DDV gather runs once
+/// per interval and its sample goes to every lane. The run itself never
+/// depends on the observer, so lane `k` records exactly what a one-lane
+/// collector with geometry `k` would.
 pub struct TraceCollector {
-    pub(crate) geometry: DetectorGeometry,
-    pub(crate) acc: Vec<ProcAccumulators>,
+    geometries: Vec<DetectorGeometry>,
+    /// Processor-major: processor `p`'s lanes, one per geometry in
+    /// `geometries` order, are `lanes[p * k..(p + 1) * k]` for `k` lanes.
+    pub(crate) lanes: Vec<ProcLane>,
     pub(crate) ddv: DdvState,
-    /// Captured records, per processor, in interval order.
-    pub records: Vec<Vec<IntervalRecord>>,
     /// Use the pre-optimization O(n²) all-to-one gather at interval ends
     /// (the scaling benchmark's reference arm). Must be chosen before the
     /// run — the fast and reference gathers keep different snapshot state
@@ -237,30 +263,75 @@ pub struct TraceCollector {
 }
 
 impl TraceCollector {
-    /// `dist` is the n×n DDV distance matrix (see
+    /// A one-lane collector. `dist` is the n×n DDV distance matrix (see
     /// [`dsm_sim::network::Network::distance_matrix`]).
     pub fn new(n_procs: usize, dist: Vec<f64>, geometry: DetectorGeometry) -> Self {
-        Self::with_ddv(DdvState::new(n_procs, dist), geometry)
+        Self::with_lanes(n_procs, dist, &[geometry])
     }
 
-    /// Hypercube convenience constructor.
+    /// A collector with one lane per entry of `geometries` (at least one).
+    pub fn with_lanes(n_procs: usize, dist: Vec<f64>, geometries: &[DetectorGeometry]) -> Self {
+        Self::with_ddv(DdvState::new(n_procs, dist), geometries)
+    }
+
+    /// Hypercube convenience constructor (one lane).
     pub fn for_hypercube(n_procs: usize, geometry: DetectorGeometry) -> Self {
-        Self::with_ddv(DdvState::for_hypercube(n_procs), geometry)
+        Self::with_ddv(DdvState::for_hypercube(n_procs), &[geometry])
     }
 
-    fn with_ddv(ddv: DdvState, geometry: DetectorGeometry) -> Self {
-        let n_procs = ddv.n();
+    fn with_ddv(ddv: DdvState, geometries: &[DetectorGeometry]) -> Self {
+        assert!(!geometries.is_empty(), "a collector needs at least one geometry");
+        let lanes = (0..ddv.n())
+            .flat_map(|_| geometries.iter().map(|&g| ProcLane::new(g)))
+            .collect();
         Self {
-            acc: vec![ProcAccumulators::new(geometry); n_procs],
+            lanes,
             ddv,
-            records: vec![Vec::new(); n_procs],
-            geometry,
+            geometries: geometries.to_vec(),
             reference_gather: false,
         }
     }
 
+    /// The first lane's geometry.
     pub fn geometry(&self) -> DetectorGeometry {
-        self.geometry
+        self.geometries[0]
+    }
+
+    /// Number of processors observed.
+    pub fn n_procs(&self) -> usize {
+        self.lanes.len() / self.geometries.len()
+    }
+
+    /// Number of lanes (detector geometries) per processor.
+    pub(crate) fn n_lanes(&self) -> usize {
+        self.geometries.len()
+    }
+
+    /// Processor `proc`'s lanes.
+    #[inline]
+    fn lanes_of(&mut self, proc: usize) -> &mut [ProcLane] {
+        let k = self.geometries.len();
+        &mut self.lanes[proc * k..(proc + 1) * k]
+    }
+
+    /// The first lane's records for `proc`, in interval order.
+    pub fn records(&self, proc: usize) -> &[IntervalRecord] {
+        &self.lanes[proc * self.geometries.len()].records
+    }
+
+    /// The first lane's records, per processor.
+    pub fn into_records(self) -> Vec<Vec<IntervalRecord>> {
+        self.into_lanes().swap_remove(0)
+    }
+
+    /// Every lane's records, per processor, in `geometries` order.
+    pub fn into_lanes(self) -> Vec<Vec<Vec<IntervalRecord>>> {
+        let k = self.geometries.len();
+        let mut out = vec![Vec::with_capacity(self.lanes.len() / k); k];
+        for (i, lane) in self.lanes.into_iter().enumerate() {
+            out[i % k].push(lane.records);
+        }
+        out
     }
 
     pub fn ddv(&self) -> &DdvState {
@@ -280,41 +351,47 @@ impl TraceCollector {
         self.reference_gather = on;
     }
 
-    /// Total intervals captured across all processors.
+    /// Total intervals captured across all processors (first lane).
     pub fn total_intervals(&self) -> usize {
-        self.records.iter().map(|r| r.len()).sum()
+        self.lanes.iter().step_by(self.geometries.len()).map(|l| l.records.len()).sum()
     }
 
     /// Export the full dynamic state — mid-interval accumulators plus the
-    /// captured records — for checkpointing.
+    /// captured records — for checkpointing. A checkpoint describes one
+    /// geometry, so the collector must have one lane.
     pub fn export_state(&self) -> CollectorState {
+        assert_eq!(self.geometries.len(), 1, "collector state is defined for one lane");
         CollectorState {
-            bbv: self.acc.iter().map(|a| a.bbv.raw().to_vec()).collect(),
-            ws: self.acc.iter().map(|a| a.ws.words().to_vec()).collect(),
-            branches: self.acc.iter().map(|a| a.branches).collect(),
+            bbv: self.lanes.iter().map(|a| a.bbv.raw().to_vec()).collect(),
+            ws: self.lanes.iter().map(|a| a.ws.words().to_vec()).collect(),
+            branches: self.lanes.iter().map(|a| a.branches).collect(),
             ddv: self.ddv.export_state(),
-            records: self.records.clone(),
+            records: self.lanes.iter().map(|a| a.records.clone()).collect(),
         }
     }
 
     /// Restore state captured by [`TraceCollector::export_state`] into a
-    /// collector built with the same geometry and processor count.
+    /// one-lane collector built with the same geometry and processor count.
     pub fn import_state(&mut self, st: &CollectorState) {
-        let n = self.acc.len();
+        let n = self.n_procs();
         assert!(
-            st.bbv.len() == n && st.ws.len() == n && st.branches.len() == n,
+            st.bbv.len() == n
+                && st.ws.len() == n
+                && st.branches.len() == n
+                && st.records.len() == n,
             "collector snapshot is for a different machine"
         );
-        let rows = st.bbv.iter().zip(&st.ws).zip(&st.branches);
-        for (a, ((raw, words), &branches)) in self.acc.iter_mut().zip(rows) {
+        assert_eq!(self.geometries.len(), 1, "collector state is defined for one lane");
+        let rows = st.bbv.iter().zip(&st.ws).zip(&st.branches).zip(&st.records);
+        for (a, (((raw, words), &branches), records)) in self.lanes.iter_mut().zip(rows) {
             assert_eq!(raw.len(), a.bbv.len(), "collector snapshot has a different BBV geometry");
             assert_eq!(words.len() * 64, a.ws.bits(), "collector snapshot has a different WS geometry");
             a.bbv = BbvAccumulator::from_raw(raw.clone());
             a.ws = WsSignature::from_words(words.clone());
             a.branches = branches;
+            a.records = records.clone();
         }
         self.ddv.import_state(&st.ddv);
-        self.records = st.records.clone();
     }
 }
 
@@ -338,7 +415,7 @@ pub struct CollectorState {
 impl SimObserver for TraceCollector {
     #[inline]
     fn on_block_commit(&mut self, proc: usize, bb: u32, insns: u32) {
-        self.acc[proc].on_block_commit(bb, insns);
+        commit_block(self.lanes_of(proc), bb, insns);
     }
 
     #[inline]
@@ -354,8 +431,7 @@ impl SimObserver for TraceCollector {
         } else {
             self.ddv.end_interval(proc)
         };
-        let rec = self.acc[proc].close(proc, stats, sample);
-        self.records[proc].push(rec);
+        close_interval(self.lanes_of(proc), proc, stats, sample);
     }
 }
 
@@ -543,14 +619,14 @@ mod tests {
         let mut c = TraceCollector::for_hypercube(2, DetectorGeometry::default());
         drive(&mut c, 0, 7, &[0, 0, 1], 0);
         drive(&mut c, 0, 9, &[1, 1, 1], 1);
-        assert_eq!(c.records[0].len(), 2);
-        let r0 = &c.records[0][0];
+        assert_eq!(c.records(0).len(), 2);
+        let r0 = &c.records(0)[0];
         assert_eq!(r0.fvec, vec![2, 1]);
         assert_eq!(r0.insns, 500);
         assert!((r0.cpi() - 2.0).abs() < 1e-12);
         assert_eq!(r0.branches, 10);
         // Second interval's counters started fresh.
-        let r1 = &c.records[0][1];
+        let r1 = &c.records(0)[1];
         assert_eq!(r1.fvec, vec![0, 3]);
         assert_eq!(r1.branches, 10);
         // BBVs of different code differ.
@@ -565,7 +641,7 @@ mod tests {
             c.on_mem_commit(1, 0, 0, false);
         }
         drive(&mut c, 0, 7, &[0], 0);
-        let r = &c.records[0][0];
+        let r = &c.records(0)[0];
         assert_eq!(r.fvec, vec![1, 0]);
         assert_eq!(r.cvec, vec![6, 0], "C includes P1's accesses");
         assert!(r.dds >= 6.0);
@@ -648,7 +724,7 @@ mod tests {
 
         let mut bank =
             ClassifierBank::new(2, DetectorMode::BbvDdv, thresholds, geometry.footprint_vectors);
-        let offline: Vec<ClassifiedInterval> = bank.classify_records(0, &coll.records[0]).collect();
+        let offline: Vec<ClassifiedInterval> = bank.classify_records(0, coll.records(0)).collect();
         assert_eq!(offline, online.classified[0]);
     }
 

@@ -18,6 +18,12 @@
 //! A threshold sweep builds one triangle per processor and replays it at
 //! every threshold, instead of recomputing each signature distance at each
 //! threshold. Memory is `n(n−1)/2 × 8` bytes for `n` intervals.
+//!
+//! An ungated replay at threshold `t` also reports `next`, the smallest
+//! distance `≥ t` it compared against `t` itself, i.e. before the query had
+//! a candidate. Comparisons against an accepted candidate's distance do not
+//! involve `t`, so every threshold in `[t, next]` takes the same path and
+//! yields the same phase ids; [`IndexReplay::sweep`] skips those replays.
 
 /// Lower triangle of one processor's pairwise interval distances:
 /// `d(i, j)` for `j < i`, row `i` stored contiguously.
@@ -84,6 +90,7 @@ impl IndexReplay {
     /// empty table at `threshold`, writing one phase id per interval into
     /// `ids`. An entry holding interval `j` is a candidate for query `i`
     /// only if `gate(i, j)` holds; pass `|_, _| true` for no gate.
+    #[inline]
     pub fn run(
         &mut self,
         tri: &DistanceTriangle,
@@ -91,11 +98,39 @@ impl IndexReplay {
         gate: impl Fn(usize, usize) -> bool,
         ids: &mut Vec<u32>,
     ) {
+        self.replay::<false>(tri, threshold, gate, ids);
+    }
+
+    /// An ungated [`IndexReplay::run`] that also returns `next`: the
+    /// smallest distance `≥ threshold` compared while its query had no
+    /// candidate yet (`+∞` if none). Every threshold in
+    /// `[threshold, next]` writes the same `ids`.
+    #[inline]
+    pub fn run_ungated(
+        &mut self,
+        tri: &DistanceTriangle,
+        threshold: f64,
+        ids: &mut Vec<u32>,
+    ) -> f64 {
+        self.replay::<true>(tri, threshold, |_, _| true, ids)
+    }
+
+    /// The one replay loop; tracks `next` only when `NEXT` is set, so the
+    /// gated replays pay nothing for it.
+    #[inline]
+    fn replay<const NEXT: bool>(
+        &mut self,
+        tri: &DistanceTriangle,
+        threshold: f64,
+        gate: impl Fn(usize, usize) -> bool,
+        ids: &mut Vec<u32>,
+    ) -> f64 {
         self.interval.clear();
         self.phase.clear();
         self.stamp.clear();
         ids.clear();
         let mut next_phase = 0u32;
+        let mut next = f64::INFINITY;
         for i in 0..tri.len() {
             let clock = i as u64 + 1;
             let row = tri.row(i);
@@ -103,9 +138,15 @@ impl IndexReplay {
             let mut best_d = threshold;
             for (slot, &j) in self.interval.iter().enumerate() {
                 let d = row[j as usize];
-                if d < best_d && gate(i, j as usize) {
-                    best = Some(slot);
-                    best_d = d;
+                if d < best_d {
+                    if gate(i, j as usize) {
+                        best = Some(slot);
+                        best_d = d;
+                    }
+                } else if NEXT && best.is_none() && d < next {
+                    // No candidate yet, so `d` was compared against
+                    // `threshold` itself and `d ≥ threshold`.
+                    next = d;
                 }
             }
             if let Some(slot) = best {
@@ -133,6 +174,34 @@ impl IndexReplay {
             }
             ids.push(id);
         }
+        next
+    }
+
+    /// An ungated sweep: `score(ids)` of the replay at each of
+    /// `thresholds`, in order. A threshold inside `[t, next]` of the last
+    /// replay (see [`IndexReplay::run_ungated`]) reuses that replay's score
+    /// without replaying or scoring, so visiting thresholds in ascending
+    /// order skips every replay that cannot change the ids.
+    pub fn sweep<R: Copy>(
+        &mut self,
+        tri: &DistanceTriangle,
+        thresholds: &[f64],
+        mut score: impl FnMut(&[u32]) -> R,
+    ) -> Vec<R> {
+        let mut ids = Vec::new();
+        let mut last: Option<(f64, f64, R)> = None;
+        thresholds
+            .iter()
+            .map(|&t| match last {
+                Some((at, next, r)) if at <= t && t <= next => r,
+                _ => {
+                    let next = self.run_ungated(tri, t, &mut ids);
+                    let r = score(&ids);
+                    last = Some((t, next, r));
+                    r
+                }
+            })
+            .collect()
     }
 }
 
@@ -175,6 +244,63 @@ mod tests {
         for cap in [1, 2, 32] {
             for thr in [0.0, 0.1, 2.5] {
                 assert_eq!(replay_ids(&sigs, cap, thr), table_ids(&sigs, cap, thr), "cap {cap} thr {thr}");
+            }
+        }
+    }
+
+    /// Per-threshold replays next to one skipping sweep over `thresholds`;
+    /// returns how many replays the sweep ran.
+    fn assert_sweep_matches_runs(tri: &DistanceTriangle, cap: usize, thresholds: &[f64]) -> usize {
+        let mut table = IndexReplay::new(cap);
+        let mut ids = Vec::new();
+        let want: Vec<Vec<u32>> = thresholds
+            .iter()
+            .map(|&t| {
+                let next = table.run_ungated(tri, t, &mut ids);
+                assert!(next >= t, "next {next} below threshold {t}");
+                table.run(tri, t, |_, _| true, &mut ids);
+                ids.clone()
+            })
+            .collect();
+        let mut replays = Vec::new();
+        let got = table.sweep(tri, thresholds, |ids| {
+            replays.push(ids.to_vec());
+            replays.len() - 1
+        });
+        let got: Vec<Vec<u32>> = got.into_iter().map(|k| replays[k].clone()).collect();
+        assert_eq!(got, want, "cap {cap}");
+        replays.len()
+    }
+
+    #[test]
+    fn run_reports_next_from_comparisons_before_a_candidate() {
+        // Interval 1 misses interval 0 at distance 0.5. Interval 2 accepts
+        // slot 0 at 0.1, then compares slot 1 (0.2) against that candidate,
+        // not against the threshold: 0.2 must not bound the threshold.
+        let tri = DistanceTriangle::build(3, |i, j| [[0.0; 2], [0.5, 0.0], [0.1, 0.2]][i][j]);
+        let mut ids = Vec::new();
+        assert_eq!(IndexReplay::new(4).run_ungated(&tri, 0.3, &mut ids), 0.5);
+        assert_eq!(ids, vec![0, 1, 0]);
+        // Past every distance: nothing bounds the threshold.
+        assert_eq!(IndexReplay::new(4).run_ungated(&tri, 0.6, &mut ids), f64::INFINITY);
+    }
+
+    #[test]
+    fn sweep_equals_per_threshold_replays() {
+        let line = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0, 1.5];
+        let dense: Vec<f64> = (0..400).map(|k| k as f64 / 250.0).collect();
+        for seed in 1..=8u64 {
+            let mut h = seed;
+            // Distances drawn from the sweep thresholds themselves, so
+            // replays land exactly on the `[t, next]` boundaries.
+            let tri = DistanceTriangle::build(60, |_, _| {
+                h = dsm_sim::util::splitmix64(h);
+                line[(h % line.len() as u64) as usize]
+            });
+            for cap in [1, 2, 4, 32] {
+                assert!(assert_sweep_matches_runs(&tri, cap, &line) <= line.len());
+                let replays = assert_sweep_matches_runs(&tri, cap, &dense);
+                assert!(replays < dense.len() / 4, "dense sweep skipped too little: {replays}");
             }
         }
     }

@@ -31,7 +31,7 @@ use dsm_sim::observer::{IntervalStats, SimObserver};
 
 use crate::ddv::{DdsSample, DdvState, FrequencyMatrix};
 use crate::detector::{
-    CollectorState, DetectorGeometry, IntervalRecord, ProcAccumulators, TraceCollector,
+    close_interval, commit_block, CollectorState, DetectorGeometry, ProcLane, TraceCollector,
 };
 
 /// One staged observer event. `Block`/`Mem` are the per-event hot path and
@@ -81,7 +81,7 @@ impl ShardedCollector {
 
     /// Wrap `inner`, draining with `threads` workers (clamped to ≥ 1).
     pub fn new(inner: TraceCollector, threads: usize) -> Self {
-        let n = inner.records.len();
+        let n = inner.n_procs();
         Self {
             inner,
             threads: threads.max(1),
@@ -121,7 +121,7 @@ impl ShardedCollector {
     }
 
     pub fn geometry(&self) -> DetectorGeometry {
-        self.inner.geometry
+        self.inner.geometry()
     }
 
     /// Drain staged work and expose the (now fully caught-up) collector.
@@ -161,40 +161,39 @@ impl ShardedCollector {
         self.counters.drains += 1;
         let n = self.staged.len();
         let threads = self.threads.min(n);
+        let n_lanes = self.inner.n_lanes();
         let (mats, dist) = self.inner.ddv.mats_and_dist();
         // Per-processor work units: disjoint &mut into the collector's
         // parallel arrays, claimed whole by workers.
         struct Unit<'a> {
             proc: usize,
             ops: &'a mut Vec<Op>,
-            acc: &'a mut ProcAccumulators,
+            lanes: &'a mut [ProcLane],
             mat: &'a mut FrequencyMatrix,
-            records: &'a mut Vec<IntervalRecord>,
             dist_row: &'a [f64],
         }
         let mut units: Vec<Option<Unit>> = self
             .staged
             .iter_mut()
-            .zip(self.inner.acc.iter_mut())
+            .zip(self.inner.lanes.chunks_mut(n_lanes))
             .zip(mats.iter_mut())
-            .zip(self.inner.records.iter_mut())
             .enumerate()
-            .map(|(proc, (((ops, acc), mat), records))| {
+            .map(|(proc, ((ops, lanes), mat))| {
                 let dist_row = &dist[proc * n..(proc + 1) * n];
-                Some(Unit { proc, ops, acc, mat, records, dist_row })
+                Some(Unit { proc, ops, lanes, mat, dist_row })
             })
             .collect();
 
         fn run_unit(u: &mut Unit, n: usize) {
             for op in u.ops.drain(..) {
                 match op {
-                    Op::Block { bb, insns } => u.acc.on_block_commit(bb, insns),
+                    Op::Block { bb, insns } => commit_block(u.lanes, bb, insns),
                     Op::Mem { home } => u.mat.record(home),
                     Op::Interval { stats, cvec } => {
                         let mut fvec = vec![0u64; n];
                         u.mat.drain_row_into(u.proc, &mut fvec);
                         let dds = DdvState::dds_of(&fvec, u.dist_row, &cvec);
-                        u.records.push(u.acc.close(u.proc, stats, DdsSample { fvec, cvec, dds }));
+                        close_interval(u.lanes, u.proc, stats, DdsSample { fvec, cvec, dds });
                     }
                 }
             }
@@ -308,9 +307,26 @@ mod tests {
     /// Feed both collectors an identical pseudo-random event sequence with
     /// interleaved window closes; their exported state must match exactly.
     fn drive_both(n: usize, threads: usize, budget: usize, steps: u64) {
-        let g = DetectorGeometry::default();
-        let mut serial = TraceCollector::new(n, dist(n), g);
-        let mut sharded = ShardedCollector::new(TraceCollector::new(n, dist(n), g), threads);
+        let geometry = [DetectorGeometry::default()];
+        let (serial, mut sharded) = drive_lanes(&geometry, n, threads, budget, steps);
+        assert_eq!(
+            sharded.export_state(),
+            serial.export_state(),
+            "n = {n}, threads = {threads}, budget = {budget}"
+        );
+        assert!(sharded.counters().drains > 0 || sharded.counters().ops_staged == 0);
+    }
+
+    fn drive_lanes(
+        geometries: &[DetectorGeometry],
+        n: usize,
+        threads: usize,
+        budget: usize,
+        steps: u64,
+    ) -> (TraceCollector, ShardedCollector) {
+        let mut serial = TraceCollector::with_lanes(n, dist(n), geometries);
+        let mut sharded =
+            ShardedCollector::new(TraceCollector::with_lanes(n, dist(n), geometries), threads);
         sharded.set_drain_budget(budget);
         let mut x = 0x5eed_0000 + n as u64 * 31 + threads as u64;
         let mut intervals = vec![0u64; n];
@@ -344,12 +360,19 @@ mod tests {
                 sharded.on_window_close(step / 23, step);
             }
         }
-        assert_eq!(
-            sharded.export_state(),
-            serial.export_state(),
-            "n = {n}, threads = {threads}, budget = {budget}"
-        );
-        assert!(sharded.counters().drains > 0 || sharded.counters().ops_staged == 0);
+        (serial, sharded)
+    }
+
+    #[test]
+    fn sharded_collector_matches_serial_in_every_lane() {
+        let geometries = [
+            DetectorGeometry::default(),
+            DetectorGeometry { bbv_entries: 8, footprint_vectors: 8, ws_bits: 128 },
+        ];
+        let (serial, sharded) = drive_lanes(&geometries, 4, 3, 64, 1200);
+        let lanes = serial.into_lanes();
+        assert!(lanes[1].iter().all(|r| !r.is_empty()));
+        assert_eq!(sharded.into_inner().into_lanes(), lanes);
     }
 
     #[test]
@@ -376,8 +399,8 @@ mod tests {
         sharded.on_interval(0, IntervalStats { index: 0, insns: 10, cycles: 20 });
         assert_eq!(sharded.outstanding_ops(), 3);
         let inner = sharded.into_inner();
-        assert_eq!(inner.records[0].len(), 1);
-        assert_eq!(inner.records[0][0].fvec, vec![0, 1]);
+        assert_eq!(inner.records(0).len(), 1);
+        assert_eq!(inner.records(0)[0].fvec, vec![0, 1]);
     }
 
     #[test]

@@ -274,7 +274,7 @@ pub fn assert_noop_differential(app: App, n_procs: usize) {
     );
     assert_eq!(
         out.records,
-        plain_coll.records,
+        plain_coll.into_records(),
         "{} {n_procs}P: no-op adaptation perturbed the observer stream",
         app.name()
     );
@@ -409,7 +409,7 @@ mod tests {
             AdaptSession::new(build_system(config, None), Box::new(NoopActuator), AdaptConfig::default())
                 .run();
         assert_eq!(out.stats, plain_stats);
-        assert_eq!(out.records, plain_coll.records);
+        assert_eq!(out.records, plain_coll.into_records());
     }
 
     #[test]

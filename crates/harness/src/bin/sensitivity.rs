@@ -2,10 +2,13 @@
 //! sampling-interval length, and data-placement policy, reported as
 //! identifier CoV at a 15-phase budget for both detectors.
 //!
-//! Usage: `sensitivity [--scale test|scaled|paper] [--jobs N]` (default:
-//! scaled). Sensitivity variants perturb the machine configuration itself,
-//! so they always simulate (no trace cache); `--jobs` fans the variants and
-//! their threshold sweeps out over the worker pool.
+//! Usage: `sensitivity [--scale test|scaled|paper] [--jobs N] [--cold]
+//! [--no-cache]` (default: scaled). Variants are captured through the trace
+//! store like every figure's, keyed by their full machine configuration and
+//! detector geometry: one simulation per distinct machine, none on a warm
+//! rerun. `--cold` clears the store first, `--no-cache` disables it, and
+//! `--jobs` fans the simulations and threshold sweeps out over the worker
+//! pool.
 
 use dsm_harness::sensitivity::{
     bank_sweep, geometry_sweep, interval_sweep, network_model_sweep, placement_sweep,
@@ -14,7 +17,7 @@ use dsm_harness::sensitivity::{
 use dsm_harness::{parallel, report};
 use dsm_workloads::{App, Scale};
 
-const USAGE: &str = "sensitivity [--scale test|scaled|paper] [--jobs N]";
+const USAGE: &str = "sensitivity [--scale test|scaled|paper] [--jobs N] [--cold] [--no-cache]";
 
 fn fmt(x: Option<f64>) -> String {
     x.map(|v| format!("{v:.3}"))
@@ -52,7 +55,7 @@ fn render(title: &str, pts: &[SensitivityPoint], out: &mut String, rows: &mut Ve
 
 fn main() {
     let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
-    let jobs = parallel::jobs_from_args();
+    let jobs = parallel::init_from_args();
     eprintln!("sensitivity: running with {jobs} worker(s)");
     let mut out = String::from("Sensitivity studies (32P unless noted)\n\n");
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -94,6 +97,8 @@ fn main() {
     let bk = bank_sweep(App::Art, 32, scale, &[1, 2, 4, 8]);
     render("SDRAM banks per controller (Art)", &bk, &mut out, &mut rows);
 
+    let (mem, disk, simulated) = parallel::cache_counters();
+    eprintln!("sensitivity: cache {mem} mem + {disk} disk hits / {simulated} simulated");
     println!("{out}");
     report::announce(&report::write_text("sensitivity.txt", &out).expect("write"));
     report::announce(

@@ -250,7 +250,7 @@ pub fn capture_serial_init(config: ExperimentConfig) -> SystemTrace {
     SystemTrace {
         config,
         ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.records,
+        records: collector.into_records(),
         stats,
     }
 }

@@ -12,8 +12,10 @@
 //! 2. **a content-addressed trace store** ([`TraceStore`]) — captured
 //!    [`SystemTrace`]s persisted on disk (in the `DSMTRC4` format of
 //!    [`SystemTrace::encode`]) keyed by a hash of
-//!    `(app, n_procs, scale, interval_base, SystemConfig, DetectorGeometry)`,
-//!    so re-running figures/sweeps/ablations skips simulation entirely;
+//!    `(app, n_procs, scale, interval_base, SystemConfig, DetectorGeometry)`
+//!    ([`Machine::key`], also the memory cache's key), so re-running
+//!    figures/sweeps/ablations/sensitivity studies skips simulation
+//!    entirely; misses that differ only in geometry share one simulation;
 //! 3. **a run report** ([`RunReport`]) — per-experiment wall time and
 //!    cache hit/miss counters, written as JSON next to the results.
 //!
@@ -28,6 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dsm_phase::detector::DetectorGeometry;
+use dsm_sim::config::SystemConfig;
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
@@ -169,21 +172,47 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// instead of decoding garbage.
 const TRACE_FORMAT: &str = "dsm-trace-v2";
 
-/// Content hash of everything that determines a captured trace: the
-/// experiment point, the derived machine configuration, and the collector
-/// geometry. Any field change (via `Debug` of the full structs) changes
-/// the key.
+/// One machine to capture: an experiment point, the machine configuration
+/// it runs on, and the detector geometry observing it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Machine {
+    pub config: ExperimentConfig,
+    pub system: SystemConfig,
+    pub geometry: DetectorGeometry,
+}
+
+impl Machine {
+    /// The machine `config` names: its derived [`SystemConfig`] and the
+    /// paper's detector geometry (what [`capture`](crate::trace::capture)
+    /// simulates).
+    pub fn default_for(config: ExperimentConfig) -> Self {
+        Self { config, system: config.system_config(), geometry: DetectorGeometry::default() }
+    }
+
+    /// The simulation this machine's trace comes from: the same machine
+    /// under the default geometry. Machines with equal runs differ only in
+    /// what observes them, so they can share one simulation.
+    pub fn simulation(&self) -> Machine {
+        Machine { geometry: DetectorGeometry::default(), ..self.clone() }
+    }
+
+    /// Content hash of everything that determines the captured trace: the
+    /// experiment point, the machine configuration, and the collector
+    /// geometry. Any field change (via `Debug` of the full structs) changes
+    /// the key. The one key of the memory cache and the disk store.
+    pub fn key(&self) -> String {
+        let Machine { config, system, geometry } = self;
+        let desc = format!(
+            "{TRACE_FORMAT}|{:?}|{}|{:?}|{}|{:?}|{:?}",
+            config.app, config.n_procs, config.scale, config.interval_base, system, geometry,
+        );
+        format!("{}-{:016x}", config.label(), fnv1a64(desc.as_bytes()))
+    }
+}
+
+/// [`Machine::key`] of the default machine for `config`.
 pub fn cache_key(config: &ExperimentConfig) -> String {
-    let desc = format!(
-        "{TRACE_FORMAT}|{:?}|{}|{:?}|{}|{:?}|{:?}",
-        config.app,
-        config.n_procs,
-        config.scale,
-        config.interval_base,
-        config.system_config(),
-        DetectorGeometry::default(),
-    );
-    format!("{}-{:016x}", config.label(), fnv1a64(desc.as_bytes()))
+    Machine::default_for(*config).key()
 }
 
 /// Process-wide trace-store directory. Unset (the default) disables disk
@@ -430,56 +459,120 @@ impl RunReport {
 // The engine
 // ---------------------------------------------------------------------------
 
-/// Capture every configuration in `configs` — memory cache, then disk
-/// store, then simulation — running misses concurrently on the worker
-/// pool. Returns traces in input order plus a [`RunReport`].
+/// Capture every machine — memory cache, then disk store, then simulation
+/// — and return each trace with its source and wall time, in input order.
+///
+/// Lookups run on the worker pool. Misses that differ only in detector
+/// geometry run as one simulation with one collector lane per geometry,
+/// and distinct simulations run concurrently. Fresh traces go to the disk
+/// store; only [`capture_matrix`] adds to the memory cache, so variant
+/// traces do not pile up in it.
+pub fn capture_machines(machines: &[Machine]) -> Vec<(Arc<SystemTrace>, CaptureSource, f64)> {
+    let store = trace_store();
+    let looked_up = par_map(machines.to_vec(), |machine| {
+        let t = Instant::now();
+        let key = machine.key();
+        let hit = if let Some(hit) = trace::memory_cache_get(&key) {
+            MEM_HITS.fetch_add(1, Ordering::Relaxed);
+            Some((hit, CaptureSource::MemoryCache))
+        } else if let Some(hit) = store.as_ref().and_then(|s| s.load(&key)) {
+            DISK_HITS.fetch_add(1, Ordering::Relaxed);
+            Some((Arc::new(hit), CaptureSource::DiskCache))
+        } else {
+            None
+        };
+        (machine, key, hit.map(|(trace, source)| (trace, source, ms_since(t))))
+    });
+
+    // One simulation per distinct run among the misses, with one lane per
+    // distinct key (geometry) of that run.
+    let misses = (0..machines.len()).filter(|&slot| looked_up[slot].2.is_none());
+    let runs = group_by(misses, |&slot| machines[slot].simulation());
+    MISSES.fetch_add(runs.iter().map(|(_, s)| s.len() as u64).sum(), Ordering::Relaxed);
+    let simulated = par_map(runs, |(run, slots)| {
+        let t = Instant::now();
+        let lanes = group_by(slots, |&slot| looked_up[slot].1.clone());
+        let geometries: Vec<DetectorGeometry> =
+            lanes.iter().map(|(_, slots)| machines[slots[0]].geometry).collect();
+        let traces = trace::capture_lanes(run.config, run.system, &geometries);
+        let wall_ms = ms_since(t);
+        lanes
+            .into_iter()
+            .zip(traces)
+            .map(|((key, slots), trace)| {
+                if let Some(s) = &store {
+                    // Best-effort: a full disk never fails the experiment.
+                    let _ = s.store(&key, &trace);
+                }
+                (slots, Arc::new(trace), wall_ms)
+            })
+            .collect::<Vec<_>>()
+    });
+
+    let mut out: Vec<Option<(Arc<SystemTrace>, CaptureSource, f64)>> =
+        looked_up.into_iter().map(|(_, _, hit)| hit).collect();
+    for (slots, trace, wall_ms) in simulated.into_iter().flatten() {
+        for slot in slots {
+            out[slot] = Some((trace.clone(), CaptureSource::Simulated, wall_ms));
+        }
+    }
+    out.into_iter()
+        .map(|r| r.expect("every machine was looked up or simulated"))
+        .collect()
+}
+
+/// Group `items` by `key`, groups and members in first-appearance order.
+pub(crate) fn group_by<T, K: PartialEq>(
+    items: impl IntoIterator<Item = T>,
+    key: impl Fn(&T) -> K,
+) -> Vec<(K, Vec<T>)> {
+    let mut groups: Vec<(K, Vec<T>)> = Vec::new();
+    for item in items {
+        let k = key(&item);
+        match groups.iter_mut().find(|(g, _)| *g == k) {
+            Some((_, members)) => members.push(item),
+            None => groups.push((k, vec![item])),
+        }
+    }
+    groups
+}
+
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// Capture every configuration in `configs` on its default machine through
+/// [`capture_machines`] and keep the traces in the memory cache, where
+/// [`capture_cached`](crate::trace::capture_cached) finds them. Returns
+/// traces in input order plus a [`RunReport`].
 pub fn capture_matrix(
     name: &str,
     configs: &[ExperimentConfig],
 ) -> (Vec<Arc<SystemTrace>>, RunReport) {
     let t0 = Instant::now();
-    let store = trace_store();
-    let results = par_map(configs.to_vec(), |config| {
-        let t = Instant::now();
-        let key = cache_key(&config);
-        let (trace, source) = if let Some(hit) = trace::memory_cache_get(&config.label()) {
-            MEM_HITS.fetch_add(1, Ordering::Relaxed);
-            (hit, CaptureSource::MemoryCache)
-        } else if let Some(hit) = store.as_ref().and_then(|s| s.load(&key)) {
-            DISK_HITS.fetch_add(1, Ordering::Relaxed);
-            let arc = Arc::new(hit);
-            trace::memory_cache_insert(config.label(), arc.clone());
-            (arc, CaptureSource::DiskCache)
-        } else {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            let fresh = Arc::new(trace::capture(config));
-            if let Some(s) = &store {
-                // Best-effort: a full disk never fails the experiment.
-                let _ = s.store(&key, &fresh);
-            }
-            trace::memory_cache_insert(config.label(), fresh.clone());
-            (fresh, CaptureSource::Simulated)
-        };
-        let run = ExperimentRun {
-            label: config.label(),
-            key,
-            source,
-            wall_ms: t.elapsed().as_secs_f64() * 1e3,
-            intervals: trace.total_intervals(),
-        };
-        (trace, run)
-    });
+    let machines: Vec<Machine> = configs.iter().map(|&c| Machine::default_for(c)).collect();
+    let results = capture_machines(&machines);
     let mut traces = Vec::with_capacity(results.len());
     let mut runs = Vec::with_capacity(results.len());
-    for (trace, run) in results {
+    for (machine, (trace, source, wall_ms)) in machines.iter().zip(results) {
+        let key = machine.key();
+        if source != CaptureSource::MemoryCache {
+            trace::memory_cache_insert(key.clone(), trace.clone());
+        }
+        runs.push(ExperimentRun {
+            label: machine.config.label(),
+            key,
+            source,
+            wall_ms,
+            intervals: trace.total_intervals(),
+        });
         traces.push(trace);
-        runs.push(run);
     }
     let report = RunReport {
         name: name.to_string(),
         jobs: jobs(),
         runs,
-        total_wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        total_wall_ms: ms_since(t0),
     };
     (traces, report)
 }

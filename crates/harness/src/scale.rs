@@ -146,7 +146,7 @@ fn reference_run(cfg: &ExperimentConfig) -> ArmRun {
         stats,
         gather_rounds: collector.ddv().gather_rounds(),
         queries: collector.ddv().queries(),
-        records: collector.records,
+        records: collector.into_records(),
         windows: Default::default(),
         drains: Default::default(),
     }
@@ -180,7 +180,7 @@ fn sharded_run(cfg: &ExperimentConfig, shards: usize, threads: usize) -> ArmRun 
         stats,
         gather_rounds: inner.ddv().gather_rounds(),
         queries: inner.ddv().queries(),
-        records: inner.records,
+        records: inner.into_records(),
         windows,
         drains,
     }

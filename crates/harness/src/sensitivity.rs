@@ -9,6 +9,11 @@
 //! * **data placement** — the structural workloads place data at its
 //!   owner; how much of the DSM phase behaviour survives under naive
 //!   round-robin page/block interleaving?
+//!
+//! Every study captures through the content-addressed trace cache
+//! ([`capture_machines`]): a variant on the default machine reuses the
+//! figures' trace, and variants that differ only in detector geometry
+//! share one simulation.
 
 use dsm_phase::detector::DetectorGeometry;
 use dsm_sim::config::DistributionPolicy;
@@ -16,13 +21,13 @@ use dsm_workloads::{App, Scale};
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::ExperimentConfig;
-use crate::parallel::par_map;
+use crate::parallel::{capture_machines, group_by, par_map, Machine};
 use crate::sweep::{bbv_curve_with, bbv_ddv_curve_with};
-use crate::trace::capture_with;
+use crate::trace::SystemTrace;
 
 /// One sensitivity observation: CoV at fixed phase budgets for both
 /// detectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SensitivityPoint {
     pub label: String,
     pub bbv_at_15: Option<f64>,
@@ -32,7 +37,7 @@ pub struct SensitivityPoint {
     pub intervals_per_proc: usize,
 }
 
-fn observe(label: String, trace: &crate::trace::SystemTrace) -> SensitivityPoint {
+fn observe(label: String, trace: &SystemTrace) -> SensitivityPoint {
     let bbv = bbv_curve_with(trace, 60);
     let ddv = bbv_ddv_curve_with(trace, 12, 8);
     let n = trace.config.n_procs as f64;
@@ -52,6 +57,35 @@ fn observe(label: String, trace: &crate::trace::SystemTrace) -> SensitivityPoint
     }
 }
 
+/// Observe every variant's trace, captured through the trace cache. The
+/// variants are grouped by simulation ([`Machine::simulation`]) and the
+/// groups spread over the worker pool, so each worker holds one group's
+/// traces at a time. A group captures its lanes together, then observes
+/// them; that inner map is parallel when a study is a single group (the
+/// geometry sweep) and inline when every group is a single variant.
+fn study<V: Send>(
+    variants: Vec<(V, Machine)>,
+    observe: impl Fn(V, &SystemTrace) -> SensitivityPoint + Sync,
+) -> Vec<SensitivityPoint> {
+    let runs = group_by(variants.into_iter().enumerate(), |(_, (_, m))| m.simulation());
+    let mut points: Vec<(usize, SensitivityPoint)> = par_map(runs, |(_, group)| {
+        let machines: Vec<Machine> = group.iter().map(|(_, (_, m))| m.clone()).collect();
+        let traces = capture_machines(&machines);
+        let work: Vec<_> = group.into_iter().zip(traces).collect();
+        par_map(work, |((slot, (v, _)), (trace, _, _))| (slot, observe(v, &trace)))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    points.sort_by_key(|&(slot, _)| slot);
+    points.into_iter().map(|(_, p)| p).collect()
+}
+
+/// The default machine for `app` at `n_procs` and `scale`.
+fn machine_at(app: App, n_procs: usize, scale: Scale) -> Machine {
+    Machine::default_for(crate::figures::config_at(app, n_procs, scale))
+}
+
 /// Sweep the detector hardware budget: accumulator entries × footprint
 /// vectors.
 pub fn geometry_sweep(
@@ -60,17 +94,18 @@ pub fn geometry_sweep(
     scale: Scale,
     sizes: &[(usize, usize)],
 ) -> Vec<SensitivityPoint> {
-    let config = crate::figures::config_at(app, n_procs, scale);
-    par_map(sizes.to_vec(), |(bbv_entries, footprint_vectors)| {
-        let geometry = DetectorGeometry {
-            bbv_entries,
-            footprint_vectors,
-            ws_bits: 1024,
-        };
-        let trace = capture_with(config, config.system_config(), geometry);
+    let variants = sizes
+        .iter()
+        .map(|&(bbv_entries, footprint_vectors)| {
+            let geometry = DetectorGeometry { bbv_entries, footprint_vectors, ws_bits: 1024 };
+            let machine = Machine { geometry, ..machine_at(app, n_procs, scale) };
+            ((bbv_entries, footprint_vectors), machine)
+        })
+        .collect();
+    study(variants, |(bbv_entries, footprint_vectors), trace| {
         // Classify against the geometry's own footprint capacity.
-        let bbv = crate::sweep::bbv_curve_cap(&trace, 60, footprint_vectors);
-        let ddv = crate::sweep::bbv_ddv_curve_cap(&trace, 12, 8, footprint_vectors);
+        let bbv = crate::sweep::bbv_curve_cap(trace, 60, footprint_vectors);
+        let ddv = crate::sweep::bbv_ddv_curve_cap(trace, 12, 8, footprint_vectors);
         SensitivityPoint {
             label: format!("{bbv_entries}-entry BBV, {footprint_vectors}-vector table"),
             bbv_at_15: bbv.cov_at_phases(15.0),
@@ -90,32 +125,36 @@ pub fn interval_sweep(
     scale: Scale,
     bases: &[u64],
 ) -> Vec<SensitivityPoint> {
-    par_map(bases.to_vec(), |base| {
-        let config = ExperimentConfig {
-            interval_base: base,
-            ..crate::figures::config_at(app, n_procs, scale)
-        };
-        let trace = capture_with(config, config.system_config(), DetectorGeometry::default());
-        observe(format!("{}k-instruction base", base / 1000), &trace)
-    })
+    let variants = bases
+        .iter()
+        .map(|&base| {
+            let config = ExperimentConfig {
+                interval_base: base,
+                ..crate::figures::config_at(app, n_procs, scale)
+            };
+            (format!("{}k-instruction base", base / 1000), Machine::default_for(config))
+        })
+        .collect();
+    study(variants, observe)
 }
 
 /// Compare data-placement policies: owner-aware explicit placement (the
 /// workloads' native layout, like SPLASH-2's decompositions) against naive
 /// round-robin interleaving.
 pub fn placement_sweep(app: App, n_procs: usize, scale: Scale) -> Vec<SensitivityPoint> {
-    let variants = vec![
+    let variants = [
         (DistributionPolicy::Explicit, "explicit (owner-aware)"),
         (DistributionPolicy::PageInterleave, "page-interleaved"),
         (DistributionPolicy::BlockInterleave, "block-interleaved"),
-    ];
-    par_map(variants, |(policy, label)| {
-        let config = crate::figures::config_at(app, n_procs, scale);
-        let mut sys_cfg = config.system_config();
-        sys_cfg.distribution = policy;
-        let trace = capture_with(config, sys_cfg, DetectorGeometry::default());
-        observe(label.to_string(), &trace)
+    ]
+    .into_iter()
+    .map(|(policy, label)| {
+        let mut m = machine_at(app, n_procs, scale);
+        m.system.distribution = policy;
+        (label.to_string(), m)
     })
+    .collect();
+    study(variants, observe)
 }
 
 /// Sweep the number of SDRAM banks per memory controller (Table I says
@@ -127,29 +166,29 @@ pub fn bank_sweep(
     scale: Scale,
     banks: &[usize],
 ) -> Vec<SensitivityPoint> {
-    par_map(banks.to_vec(), |b| {
-        let config = crate::figures::config_at(app, n_procs, scale);
-        let mut sys_cfg = config.system_config();
-        sys_cfg.memory.banks = b;
-        let trace = capture_with(config, sys_cfg, DetectorGeometry::default());
-        observe(format!("{b} bank(s)"), &trace)
-    })
+    let variants = banks
+        .iter()
+        .map(|&b| {
+            let mut m = machine_at(app, n_procs, scale);
+            m.system.memory.banks = b;
+            (format!("{b} bank(s)"), m)
+        })
+        .collect();
+    study(variants, observe)
 }
 
 /// Compare the default (memory-controller-only) contention model against
 /// the link-level wormhole contention model.
 pub fn network_model_sweep(app: App, n_procs: usize, scale: Scale) -> Vec<SensitivityPoint> {
-    let variants = vec![
-        (false, "memctrl contention only"),
-        (true, "+ link-level wormhole contention"),
-    ];
-    par_map(variants, |(link, label)| {
-        let config = crate::figures::config_at(app, n_procs, scale);
-        let mut sys_cfg = config.system_config();
-        sys_cfg.network.link_contention = link;
-        let trace = capture_with(config, sys_cfg, DetectorGeometry::default());
-        observe(label.to_string(), &trace)
-    })
+    let variants = [(false, "memctrl contention only"), (true, "+ link-level wormhole contention")]
+        .into_iter()
+        .map(|(link, label)| {
+            let mut m = machine_at(app, n_procs, scale);
+            m.system.network.link_contention = link;
+            (label.to_string(), m)
+        })
+        .collect();
+    study(variants, observe)
 }
 
 #[cfg(test)]

@@ -144,7 +144,7 @@ fn capture_checkpoints_inner(
     let trace = SystemTrace {
         config,
         ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.records,
+        records: collector.into_records(),
         stats,
     };
     (ckpts, trace)
@@ -175,7 +175,7 @@ pub fn capture_checkpoint_every(
     let trace = SystemTrace {
         config,
         ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.records,
+        records: collector.into_records(),
         stats,
     };
     (ckpts, trace)
@@ -240,7 +240,7 @@ pub fn resume_to_end(bytes: &[u8]) -> SystemTrace {
     SystemTrace {
         config,
         ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.records,
+        records: collector.into_records(),
         stats,
     }
 }
@@ -330,8 +330,10 @@ pub fn sampled_run(config: ExperimentConfig, plan: FaultPlan) -> SimpointResult 
         sys.run_to_interval(b + 1);
         let mut insns = 0u64;
         let mut cycles = 0u64;
-        for proc_recs in &sys.observer().records {
-            let rec = proc_recs
+        let coll = sys.observer();
+        for proc in 0..coll.n_procs() {
+            let rec = coll
+                .records(proc)
                 .iter()
                 .find(|r| r.index == b)
                 .expect("replayed interval was recorded");

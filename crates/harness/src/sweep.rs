@@ -62,7 +62,9 @@ impl Signatures {
 }
 
 /// Sweep one curve family: replay every non-empty processor's table at
-/// every point of `thresholds` and aggregate per point.
+/// every point of `thresholds` and aggregate per point. Ungated families
+/// go through [`IndexReplay::sweep`], which reuses a point's `(cov,
+/// phases)` wherever the replay cannot change the phase ids.
 fn replay_curve<F>(
     trace: &SystemTrace,
     thresholds: Vec<SweepPoint>,
@@ -72,6 +74,7 @@ fn replay_curve<F>(
 where
     F: Fn(usize, &[IntervalRecord]) -> Signatures + Sync,
 {
+    let ungated = thresholds.iter().all(|&(_, dds_thr)| dds_thr.is_none());
     let procs: Vec<usize> = (0..trace.records.len())
         .filter(|&p| !trace.records[p].is_empty())
         .collect();
@@ -81,7 +84,17 @@ where
         let cpis: Vec<f64> = recs.iter().map(IntervalRecord::cpi).collect();
         let mut table = IndexReplay::new(capacity);
         let mut groups = PhaseGroups::default();
-        let (mut ids, mut pairs) = (Vec::new(), Vec::new());
+        let mut pairs = Vec::new();
+        let mut score = |ids: &[u32]| {
+            pairs.clear();
+            pairs.extend(ids.iter().copied().zip(cpis.iter().copied()));
+            groups.cov_and_phases(&pairs)
+        };
+        if ungated {
+            let line: Vec<f64> = thresholds.iter().map(|&(thr, _)| thr).collect();
+            return table.sweep(&distances, &line, score);
+        }
+        let mut ids = Vec::new();
         thresholds
             .iter()
             .map(|&(thr, dds_thr)| {
@@ -89,9 +102,7 @@ where
                     dds_thr.is_none_or(|t| relative_diff(dds[i], dds[j]) < t)
                 };
                 table.run(&distances, thr, gate, &mut ids);
-                pairs.clear();
-                pairs.extend(ids.iter().copied().zip(cpis.iter().copied()));
-                groups.cov_and_phases(&pairs)
+                score(&ids)
             })
             .collect::<Vec<_>>()
     });

@@ -62,7 +62,7 @@ pub fn capture_with_telemetry(config: ExperimentConfig) -> TelemetryCapture {
         trace: SystemTrace {
             config,
             ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-            records: collector.records,
+            records: collector.into_records(),
             stats,
         },
         snapshot,

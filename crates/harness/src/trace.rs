@@ -172,20 +172,38 @@ pub fn capture_with(
     sys_cfg: dsm_sim::config::SystemConfig,
     geometry: DetectorGeometry,
 ) -> SystemTrace {
+    let mut lanes = capture_lanes(config, sys_cfg, &[geometry]);
+    lanes.pop().expect("one trace per geometry")
+}
+
+/// One simulation of `config` on `sys_cfg`, observed through every
+/// detector geometry in `geometries`: one trace per geometry, in order.
+/// The run never depends on its observer, so each trace equals
+/// [`capture_with`] under that geometry alone.
+pub fn capture_lanes(
+    config: ExperimentConfig,
+    sys_cfg: dsm_sim::config::SystemConfig,
+    geometries: &[DetectorGeometry],
+) -> Vec<SystemTrace> {
     assert_eq!(sys_cfg.n_procs, config.n_procs);
     let stream = make_stream(config.app, config.n_procs, config.scale);
     // The DDV distance matrix follows the configured topology (identical to
     // the historical hypercube matrix at the default layout).
     let dist = dsm_sim::network::Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::new(config.n_procs, dist, geometry);
+    let collector = TraceCollector::with_lanes(config.n_procs, dist, geometries);
     let system = System::new(sys_cfg, stream, collector);
     let (stats, collector) = system.run();
-    SystemTrace {
-        config,
-        ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.records,
-        stats,
-    }
+    let ddv_vectors_exchanged = collector.ddv().vectors_exchanged();
+    collector
+        .into_lanes()
+        .into_iter()
+        .map(|records| SystemTrace {
+            config,
+            records,
+            stats: stats.clone(),
+            ddv_vectors_exchanged,
+        })
+        .collect()
 }
 
 /// A sharded capture: the trace plus the parallel-core counters the scale
@@ -256,7 +274,7 @@ pub fn capture_sharded_with(
         trace: SystemTrace {
             config,
             ddv_vectors_exchanged: inner.ddv().vectors_exchanged(),
-            records: inner.records,
+            records: inner.into_records(),
             stats,
         },
         windows,
@@ -266,23 +284,25 @@ pub fn capture_sharded_with(
     }
 }
 
-/// Process-wide in-memory trace cache, keyed by configuration label.
+/// Process-wide in-memory trace cache, keyed by the content key of
+/// [`crate::parallel::Machine::key`]. Filled by [`capture_cached`] and
+/// [`crate::parallel::capture_matrix`], so it holds default machines only.
 static CACHE: Mutex<Option<HashMap<String, Arc<SystemTrace>>>> = Mutex::new(None);
 
-pub(crate) fn memory_cache_get(label: &str) -> Option<Arc<SystemTrace>> {
+pub(crate) fn memory_cache_get(key: &str) -> Option<Arc<SystemTrace>> {
     CACHE
         .lock()
         .unwrap()
         .as_ref()
-        .and_then(|m| m.get(label).cloned())
+        .and_then(|m| m.get(key).cloned())
 }
 
-pub(crate) fn memory_cache_insert(label: String, trace: Arc<SystemTrace>) {
+pub(crate) fn memory_cache_insert(key: String, trace: Arc<SystemTrace>) {
     CACHE
         .lock()
         .unwrap()
         .get_or_insert_with(HashMap::new)
-        .insert(label, trace);
+        .insert(key, trace);
 }
 
 /// Drop every in-memory cached trace. Tests use this to force the engine
@@ -294,7 +314,7 @@ pub fn clear_memory_cache() {
 /// Capture with caching: the second request for the same configuration is
 /// free. Used by figures and benches.
 pub fn capture_cached(config: ExperimentConfig) -> Arc<SystemTrace> {
-    let key = config.label();
+    let key = crate::parallel::cache_key(&config);
     if let Some(t) = memory_cache_get(&key) {
         return t;
     }

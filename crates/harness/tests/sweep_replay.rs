@@ -6,8 +6,10 @@
 //! driven with raw, ablated or vector signatures, and the working-set and
 //! branch-count detectors — as oracles, and checks that the replay returns
 //! the same phase-id vectors on seeded random records (ties, threshold 0,
-//! the loosest thresholds, capacities 1, 2 and 32) and that every sweep
-//! curve is `==`-equal to the same curve computed through the oracles.
+//! the loosest thresholds, capacities 1, 2 and 32), that the ungated
+//! sweep's skipped replays ([`IndexReplay::sweep`]) equal the replays they
+//! stand for, and that every sweep curve is `==`-equal to the same curve
+//! computed through the oracles.
 
 use dsm_analysis::cov::{identifier_cov, phase_count};
 use dsm_analysis::curve::{CovCurve, CurvePoint};
@@ -353,6 +355,70 @@ fn replay_matches_the_direct_classifiers_on_random_records() {
                             "ablated dds {dds_thr}: {ctx}"
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The skipping 1-D sweep
+// ---------------------------------------------------------------------------
+
+/// `IndexReplay::sweep` against one replay per threshold: the same ids at
+/// every point. Returns how many replays the sweep ran.
+fn assert_sweep_equals_runs(
+    tri: &DistanceTriangle,
+    cap: usize,
+    thresholds: &[f64],
+    ctx: &str,
+) -> usize {
+    let mut table = IndexReplay::new(cap);
+    let mut replays: Vec<Vec<u32>> = Vec::new();
+    let picked = table.sweep(tri, thresholds, |ids| {
+        replays.push(ids.to_vec());
+        replays.len() - 1
+    });
+    for (&t, k) in thresholds.iter().zip(picked) {
+        let mut ids = Vec::new();
+        let next = table.run_ungated(tri, t, &mut ids);
+        assert!(next >= t, "{ctx}: next {next} below threshold {t}");
+        assert_eq!(replays[k], ids, "{ctx}: threshold {t}");
+        assert_eq!(replay(tri, cap, t, None), ids, "{ctx}: run_ungated vs run at {t}");
+    }
+    replays.len()
+}
+
+#[test]
+fn skipping_sweep_equals_per_threshold_replays() {
+    let line = log_spaced(BBV_SWEEP_POINTS, 1e-3, 2.0);
+    let dense = log_spaced(20 * BBV_SWEEP_POINTS, 1e-4, 2.5);
+    for seed in 1..=4u64 {
+        for proc in 0..2 {
+            let recs = random_records(seed, proc, 4, 80);
+            // Every distance moved onto the sweep threshold nearest to it,
+            // so replays land exactly on `[t, next]` boundaries.
+            let on_line = |tri: DistanceTriangle| {
+                let nearest = |d: f64| {
+                    *line.iter().min_by(|a, b| (*a - d).abs().total_cmp(&(*b - d).abs())).unwrap()
+                };
+                let n = tri.len();
+                DistanceTriangle::build(n, |i, j| nearest(tri.row(i)[j]))
+            };
+            let triangles = [
+                ("bbv", bbv_triangle(&recs)),
+                ("bbv on line", on_line(bbv_triangle(&recs))),
+                ("ws on line", on_line(ws_triangle(&recs))),
+                ("branch", branch_triangle(&recs)),
+                ("branch on line", on_line(branch_triangle(&recs))),
+            ];
+            for (what, tri) in &triangles {
+                for cap in CAPACITIES {
+                    let ctx = format!("{what} seed {seed} proc {proc} cap {cap}");
+                    assert_sweep_equals_runs(tri, cap, &line, &ctx);
+                    let replays = assert_sweep_equals_runs(tri, cap, &dense, &ctx);
+                    let points = dense.len();
+                    assert!(replays < points / 4, "{ctx}: {replays} replays of {points}");
                 }
             }
         }

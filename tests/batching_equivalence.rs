@@ -29,6 +29,7 @@ fn batched_and_unbatched_runs_are_identical_on_real_workloads() {
         for n in [2usize, 8] {
             let (stats_b, coll_b) = collect(app, n, true);
             let (stats_s, coll_s) = collect(app, n, false);
+            let (coll_b, coll_s) = (coll_b.into_records(), coll_s.into_records());
             assert_eq!(
                 stats_b,
                 stats_s,
@@ -36,13 +37,13 @@ fn batched_and_unbatched_runs_are_identical_on_real_workloads() {
                 app.name()
             );
             assert_eq!(
-                coll_b.records,
-                coll_s.records,
+                coll_b,
+                coll_s,
                 "{} x{n}: batched interval records diverge from reference",
                 app.name()
             );
             assert!(
-                coll_b.records.iter().all(|r| !r.is_empty()),
+                coll_b.iter().all(|r| !r.is_empty()),
                 "{} x{n}: every processor must log intervals",
                 app.name()
             );
