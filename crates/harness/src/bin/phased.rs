@@ -14,63 +14,35 @@
 //!
 //! Artefacts (byte-identical across reruns — no wall-clock inside):
 //! `results/serve.json` (schema `dsm-serve-run/v1`) and `results/serve.txt`.
-//! Wall-clock throughput goes to stdout only; `bench_serve` records it in
-//! BENCH_SERVE.json with proper sampling.
+//! Wall-clock throughput goes to stdout only; perfbench's `serve-fleet`
+//! workload measures it with interleaved repetitions.
 
 use dsm_harness::json::Json;
 use dsm_harness::serve::{outcome_json, outcome_text, run_scenario, DisturbPlan, ServeScenario};
 use dsm_harness::{parallel, report};
 
+const USAGE: &str = "phased [--smoke] [--tenants N] [--concurrent N] [--trace-tenants N] \
+                     [--intervals N] [--churn-every N] [--seed S] [--jobs N]";
+
 fn main() {
     let jobs = parallel::jobs_from_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut tenants = 1024usize;
-    let mut concurrent = 0usize; // 0 = same as tenants
-    let mut trace_tenants = if smoke { 0 } else { 5 };
-    let mut intervals = if smoke { 24 } else { 64 };
-    let mut churn_every = if smoke { 0 } else { 32 };
-    let mut seed = 42u64;
-    let mut i = 0;
-    while i < args.len() {
-        let take = |name: &str| -> Option<String> {
-            if args[i] == name {
-                Some(args.get(i + 1).unwrap_or_else(|| panic!("{name} needs a value")).clone())
-            } else {
-                None
-            }
-        };
-        if let Some(v) = take("--tenants") {
-            tenants = v.parse().expect("--tenants N");
-            i += 2;
-        } else if let Some(v) = take("--concurrent") {
-            concurrent = v.parse().expect("--concurrent N");
-            i += 2;
-        } else if let Some(v) = take("--trace-tenants") {
-            trace_tenants = v.parse().expect("--trace-tenants N");
-            i += 2;
-        } else if let Some(v) = take("--intervals") {
-            intervals = v.parse().expect("--intervals N");
-            i += 2;
-        } else if let Some(v) = take("--churn-every") {
-            churn_every = v.parse().expect("--churn-every N");
-            i += 2;
-        } else if let Some(v) = take("--seed") {
-            seed = v.parse().expect("--seed S");
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    if concurrent == 0 {
-        concurrent = tenants;
-    }
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let tenants: usize = report::flag_or_exit("--tenants", 1024, USAGE);
+    let concurrent = match report::flag_or_exit("--concurrent", 0usize, USAGE) {
+        0 => tenants,
+        n => n,
+    };
+    let trace_tenants: usize =
+        report::flag_or_exit("--trace-tenants", if smoke { 0 } else { 5 }, USAGE);
+    let intervals: usize = report::flag_or_exit("--intervals", if smoke { 24 } else { 64 }, USAGE);
+    let churn_every: u64 = report::flag_or_exit("--churn-every", if smoke { 0 } else { 32 }, USAGE);
+    let seed: u64 = report::flag_or_exit("--seed", 42, USAGE);
 
     let mut sc = ServeScenario::smoke(tenants, seed);
     sc.concurrent = concurrent.min(tenants);
     sc.trace_tenants = trace_tenants.min(tenants);
     sc.intervals_per_tenant = intervals;
-    sc.churn_every = churn_every as u64;
+    sc.churn_every = churn_every;
     sc.threads = jobs;
     sc.serve.max_tenants = sc.concurrent.max(16);
     if !smoke {

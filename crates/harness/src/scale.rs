@@ -19,8 +19,7 @@
 //! equals the reference walk, and the sharded schedule replays the serial
 //! pick order); the sweep re-asserts this at every point before reporting
 //! the speedup, so the scaling curve can never drift from a correct run.
-//! Events/sec excludes machine construction, matching `dsm-bench`'s
-//! simulation timings.
+//! Events/sec excludes machine construction.
 
 use std::time::Instant;
 
@@ -187,8 +186,8 @@ fn sharded_run(cfg: &ExperimentConfig, shards: usize, threads: usize) -> ArmRun 
 }
 
 /// Measure one point of the curve. `samples` timed runs per arm; the
-/// reported rate uses the minimum time (least-contended estimate, as in
-/// `dsm-bench`). Counters and records are deterministic across samples.
+/// reported rate uses the minimum time (the least-contended estimate).
+/// Counters and records are deterministic across samples.
 pub fn scale_point(app: App, n_procs: usize, samples: usize) -> ScalePoint {
     // The finest point of the interval sensitivity sweep (4k-insn system
     // base): the collection-bound regime. With a fixed system-wide budget
