@@ -3,7 +3,7 @@
 //!
 //! Each actuator interprets the protocol's config space `0..n_configs` as a
 //! family of real reconfigurations applied through the
-//! [`Machine`](dsm_sim::reconfig::Machine) seam at interval boundaries.
+//! [`Machine`] seam at interval boundaries.
 //! Config 0 is always the machine's default setting, so the untuned arm and
 //! the first trial of every phase run the stock machine — and the
 //! [`NoopActuator`] (every config inert) leaves any run bit-identical to a

@@ -395,11 +395,6 @@ impl DdvState {
         self.gather_rounds
     }
 
-    /// The simulated collection shape in force.
-    pub fn collection_topology(&self) -> GatherTopology {
-        self.collection
-    }
-
     /// Select the simulated collection shape. Gather *values* are
     /// unaffected (sums are associative); only the round accounting
     /// changes, so the default star keeps every committed golden intact.

@@ -8,7 +8,7 @@
 //! * [`TraceCollector`] — records each interval's *feature snapshot*
 //!   (normalized BBV, `F_i`, `C`, DDS, working-set signature, branch
 //!   count, CPI) without classifying; a
-//!   [`ClassifierBank`](crate::signature::ClassifierBank) then replays the
+//!   [`ClassifierBank`] then replays the
 //!   footprint-table logic offline for any threshold. Because
 //!   classification never feeds back into execution in the paper's
 //!   evaluation, sweeping 200 thresholds offline over one captured trace is

@@ -8,7 +8,7 @@
 //! bit-exact, so this module parallelizes the other side of the boundary:
 //!
 //! * **Coordinator (serial, on the simulation thread).** Every observer
-//!   callback is staged as a compact [`Op`] in a per-processor queue. The
+//!   callback is staged as a compact `Op` in a per-processor queue. The
 //!   only work done inline is the part that needs *global* order: the O(n)
 //!   DDV aggregate (`G[home] += 1` per memory commit) and, at interval end,
 //!   the contention-vector gather `C = G - S_i` ([`DdvState`]'s fast path),

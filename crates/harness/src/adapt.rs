@@ -27,29 +27,21 @@ use dsm_adapt::{
     run_locked, Actuator, AdaptConfig, AdaptOutcome, AdaptSession, DvfsActuator, HeteroActuator,
     MigrationActuator, NoopActuator,
 };
-use dsm_phase::detector::{DetectorGeometry, TraceCollector};
 use dsm_sim::config::{DistributionPolicy, SystemConfig};
-use dsm_sim::event::ChunkedStream;
-use dsm_sim::network::Network;
-use dsm_sim::system::System;
-use dsm_workloads::{make_serial_init_stream, make_stream, App, Workload};
+use dsm_workloads::{make_serial_init_stream, App};
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
+use crate::parallel::{AppSystem, Machine};
 
-type AppSystem = System<ChunkedStream<Box<dyn Workload>>, TraceCollector>;
-
-/// Build the sweep's machine for `config`, optionally overriding the page
+/// The sweep's machine for `config`, optionally overriding the page
 /// placement policy (the placement study runs on a first-touch base).
 fn build_system(config: ExperimentConfig, dist: Option<DistributionPolicy>) -> AppSystem {
-    let mut sys_cfg = config.system_config();
+    let mut machine = Machine::default_for(config);
     if let Some(d) = dist {
-        sys_cfg.distribution = d;
+        machine.system.distribution = d;
     }
-    let stream = make_stream(config.app, config.n_procs, config.scale);
-    let dmat = Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::new(config.n_procs, dmat, DetectorGeometry::default());
-    System::new(sys_cfg, stream, collector)
+    machine.build()
 }
 
 /// Sampling-interval divisor for the placement study. Test-scale runs span
@@ -60,17 +52,16 @@ fn build_system(config: ExperimentConfig, dist: Option<DistributionPolicy>) -> A
 /// interval count the paper's full-length runs would have.
 pub const PLACEMENT_INTERVAL_DIVISOR: u64 = 8;
 
-/// The placement study's machine: same construction as [`build_system`]
-/// but the workload runs behind the serial-initialization prologue, so the
+/// The placement study's machine: [`build_system`]'s with finer sampling,
+/// and the workload runs behind the serial-initialization prologue, so the
 /// page-homing policy actually decides where data lives.
 fn build_placement_system(config: ExperimentConfig, dist: DistributionPolicy) -> AppSystem {
-    let mut sys_cfg = config.system_config();
-    sys_cfg.distribution = dist;
-    sys_cfg.interval_insns = (sys_cfg.interval_insns / PLACEMENT_INTERVAL_DIVISOR).max(1);
+    let mut machine = Machine::default_for(config);
+    machine.system.distribution = dist;
+    machine.system.interval_insns =
+        (machine.system.interval_insns / PLACEMENT_INTERVAL_DIVISOR).max(1);
     let stream = make_serial_init_stream(config.app, config.n_procs, config.scale);
-    let dmat = Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::new(config.n_procs, dmat, DetectorGeometry::default());
-    System::new(sys_cfg, stream, collector)
+    machine.assemble(stream, machine.collector())
 }
 
 fn actuator_by_name(name: &str, sys_cfg: &SystemConfig) -> Box<dyn Actuator> {

@@ -13,14 +13,11 @@ use dsm_harness::adapt::{adapt_app, adapt_sweep, assert_noop_differential, Adapt
 use dsm_harness::report;
 use dsm_workloads::App;
 
+const USAGE: &str = "adapt [n_procs] [--smoke]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let n_procs: usize = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(|a| a.parse().expect("n_procs must be an integer"))
-        .unwrap_or(16);
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let n_procs = report::power_of_two_or_exit(report::positional_or_exit(&[], 16, USAGE), USAGE);
 
     let report = if smoke {
         assert_noop_differential(App::Lu, 2);

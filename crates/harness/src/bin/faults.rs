@@ -14,14 +14,20 @@
 //! boundary. `--resume <ckpt>` restores one of those files, simulates it to
 //! completion, and prints the resumed machine statistics.
 
+use std::path::PathBuf;
+
 use dsm_analysis::Table;
 use dsm_harness::faults::{fault_sweep, DEFAULT_RATES};
 use dsm_harness::json::Json;
+use dsm_harness::parallel::Machine;
 use dsm_harness::simpoint::{capture_checkpoint_every, resume_to_end};
 use dsm_harness::{report, telemetry, ExperimentConfig};
 use dsm_sim::config::FaultPlan;
 use dsm_simpoint::Checkpoint;
 use dsm_workloads::{App, Scale};
+
+const USAGE: &str =
+    "faults [seed] [--telemetry-out <dir>] [--checkpoint-every <n>] [--resume <ckpt>]";
 
 /// `--resume <ckpt>`: restore the checkpoint, run to completion, report.
 fn resume_mode(path: &str) {
@@ -31,7 +37,7 @@ fn resume_mode(path: &str) {
     };
     let bytes = std::fs::read(path).unwrap_or_else(|e| fail(&e));
     let ck = Checkpoint::decode(&bytes).unwrap_or_else(|e| fail(&e));
-    let trace = resume_to_end(&bytes);
+    let trace = resume_to_end(&ck);
     let pairs = vec![
         ("app".to_string(), ck.meta.app.name().to_string()),
         ("n_procs".to_string(), ck.meta.n_procs.to_string()),
@@ -51,8 +57,8 @@ fn checkpoint_mode(every: u64, seed: u64) {
     std::fs::create_dir_all(&dir).expect("create checkpoints dir");
     for app in App::ALL {
         let config = ExperimentConfig::test(app, 4);
-        let plan = FaultPlan::mixed(seed, 0.02);
-        let (ckpts, trace) = capture_checkpoint_every(config, plan, every);
+        let machine = Machine::default_for(config).with_faults(FaultPlan::mixed(seed, 0.02));
+        let (ckpts, trace) = capture_checkpoint_every(&machine, every);
         for (boundary, bytes) in &ckpts {
             let path = dir.join(format!("{}-i{boundary}.ckpt", config.label()));
             std::fs::write(&path, bytes).expect("write checkpoint");
@@ -70,32 +76,17 @@ fn checkpoint_mode(every: u64, seed: u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed: u64 = 42;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut resume: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--telemetry-out" {
-            i += 2; // flag plus its directory value
-            continue;
-        }
-        if args[i] == "--checkpoint-every" {
-            checkpoint_every =
-                Some(args[i + 1].parse().expect("--checkpoint-every takes an interval count"));
-            i += 2;
-            continue;
-        }
-        if args[i] == "--resume" {
-            resume = Some(args[i + 1].clone());
-            i += 2;
-            continue;
-        }
-        if !args[i].starts_with("--") {
-            seed = args[i].parse().expect("seed must be an integer");
-        }
-        i += 1;
+    let seed: u64 = report::positional_or_exit(
+        &["--telemetry-out", "--checkpoint-every", "--resume"],
+        42,
+        USAGE,
+    );
+    let checkpoint_every: Option<u64> = report::opt_flag_or_exit("--checkpoint-every", USAGE);
+    if checkpoint_every == Some(0) {
+        report::usage_exit("--checkpoint-every must be positive", USAGE);
     }
+    let resume: Option<String> = report::opt_flag_or_exit("--resume", USAGE);
+    let telemetry_out: Option<PathBuf> = report::opt_flag_or_exit("--telemetry-out", USAGE);
 
     if let Some(path) = resume {
         resume_mode(&path);
@@ -123,7 +114,7 @@ fn main() {
         .field("sweeps", Json::Arr(sweeps));
     report::announce(&report::write_json("faults.json", &json).expect("write json"));
 
-    if let Some(dir) = telemetry::telemetry_out_from_args() {
+    if let Some(dir) = telemetry_out {
         // Instrumented fault-free captures at the sweep's node count; the
         // sweep itself is already summarized in faults.json.
         let paths =

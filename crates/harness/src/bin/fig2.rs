@@ -8,6 +8,8 @@
 //! additionally writes one Chrome-trace / metrics / summary triple per
 //! workload at 2 processors plus the engine's cache counters).
 
+use std::path::PathBuf;
+
 use dsm_harness::figures::{figure2_with_report, headline_lu};
 use dsm_harness::{parallel, report, telemetry};
 use dsm_workloads::Scale;
@@ -17,7 +19,8 @@ const USAGE: &str =
 
 fn main() {
     let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
-    let jobs = parallel::init_from_args();
+    let telemetry_out: Option<PathBuf> = report::opt_flag_or_exit("--telemetry-out", USAGE);
+    let jobs = parallel::init_from_args(USAGE);
     eprintln!("fig2: running with {jobs} worker(s)");
     let t0 = std::time::Instant::now();
     let (fig, run_report) = figure2_with_report(scale);
@@ -55,7 +58,7 @@ fn main() {
     );
     eprintln!("{}", run_report.summary());
 
-    if let Some(dir) = telemetry::telemetry_out_from_args() {
+    if let Some(dir) = telemetry_out {
         let paths =
             telemetry::export_workloads(&dir, scale, 2).expect("write telemetry artifacts");
         for p in &paths {

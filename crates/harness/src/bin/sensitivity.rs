@@ -55,7 +55,7 @@ fn render(title: &str, pts: &[SensitivityPoint], out: &mut String, rows: &mut Ve
 
 fn main() {
     let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
-    let jobs = parallel::init_from_args();
+    let jobs = parallel::init_from_args(USAGE);
     eprintln!("sensitivity: running with {jobs} worker(s)");
     let mut out = String::from("Sensitivity studies (32P unless noted)\n\n");
     let mut rows: Vec<Vec<String>> = Vec::new();

@@ -18,6 +18,8 @@ use dsm_harness::{parallel, report, ExperimentConfig};
 use dsm_sim::config::FaultPlan;
 use dsm_workloads::{App, Scale};
 
+const USAGE: &str = "simpoint [--ci] [--jobs N]";
+
 fn row(r: &SimpointResult) -> String {
     format!(
         "{:<22} {:>5} {:>3} {:>9.4} {:>9.4} {:>8.4} {:>8.4} {:>7.1}",
@@ -33,7 +35,7 @@ fn row(r: &SimpointResult) -> String {
 }
 
 fn main() {
-    parallel::jobs_from_args();
+    parallel::jobs_from_args(USAGE);
     let ci = std::env::args().any(|a| a == "--ci");
 
     let configs: Vec<ExperimentConfig> = if ci {

@@ -19,10 +19,10 @@ use dsm_harness::{report, ExperimentConfig};
 use dsm_sim::topology::TopologyKind;
 use dsm_workloads::App;
 
+const USAGE: &str = "topologies [n_procs] [--smoke <topology>]";
+
 /// `--smoke <topology>`: one small capture on one layout, table to stdout.
-fn smoke_mode(name: &str) {
-    let kind = TopologyKind::from_name(name)
-        .unwrap_or_else(|| panic!("unknown topology {name:?} (see TopologyKind::ALL)"));
+fn smoke_mode(kind: TopologyKind) {
     let (p, trace) = topology_point(ExperimentConfig::test(App::Lu, 2), kind);
     let pairs = vec![
         ("topology".to_string(), p.kind.name().to_string()),
@@ -41,25 +41,16 @@ fn smoke_mode(name: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut n_procs: usize = 8;
-    let mut smoke: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--smoke" {
-            smoke = Some(args[i + 1].clone());
-            i += 2;
-            continue;
-        }
-        if !args[i].starts_with("--") {
-            n_procs = args[i].parse().expect("n_procs must be an integer");
-            assert!(n_procs.is_power_of_two(), "every layout needs a power of two");
-        }
-        i += 1;
-    }
+    let smoke: Option<String> = report::opt_flag_or_exit("--smoke", USAGE);
+    let n_procs =
+        report::power_of_two_or_exit(report::positional_or_exit(&["--smoke"], 8, USAGE), USAGE);
 
     if let Some(name) = smoke {
-        smoke_mode(&name);
+        let kind = TopologyKind::from_name(&name).unwrap_or_else(|| {
+            let known: Vec<&str> = TopologyKind::ALL.iter().map(|k| k.name()).collect();
+            report::usage_exit(&format!("unknown topology {name:?} (one of {known:?})"), USAGE)
+        });
+        smoke_mode(kind);
         return;
     }
 

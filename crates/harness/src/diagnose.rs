@@ -19,24 +19,21 @@
 //!   peers' soar, and attribution should surface `PlacementSkew`.
 //!
 //! Telemetry joined against each outlier comes from the run's own
-//! [`SystemStats`] — per-node miss/stall shares plus the global fault and
+//! [`SystemStats`](dsm_sim::stats::SystemStats) — per-node miss/stall shares plus the global fault and
 //! reconfiguration counters every node sees identically.
 
 use dsm_diagnose::{diagnose, DiagnoseConfig, Diagnosis, NodeTelemetry};
-use dsm_phase::detector::{DetectorGeometry, DetectorMode, TraceCollector};
+use dsm_phase::detector::DetectorMode;
 use dsm_phase::stream::PhaseStream;
 use dsm_phase::{ClassifierBank, DEFAULT_FOOTPRINT_VECTORS};
 use dsm_sim::config::{DistributionPolicy, FaultPlan};
-use dsm_sim::network::Network;
-use dsm_sim::system::System;
 use dsm_workloads::{make_serial_init_stream, App};
-
-use dsm_phase::detector::DetectorGeometry as Geometry;
 
 use crate::experiment::ExperimentConfig;
 use crate::faults::SWEEP_THRESHOLDS;
 use crate::json::Json;
-use crate::trace::{capture_with, SystemTrace};
+use crate::parallel::Machine;
+use crate::trace::SystemTrace;
 
 /// Seed for the report's injected straggler plans.
 pub const DIAGNOSE_SEED: u64 = 99;
@@ -50,15 +47,17 @@ pub const DIAGNOSE_SEED: u64 = 99;
 /// instances of a phase to contrast a slowed instance against a clean one.
 pub const DIAG_INTERVAL_DIVISOR: u64 = 32;
 
+/// The machine `config` names, sampled at the diagnosis rate.
+fn diag_machine(config: ExperimentConfig) -> Machine {
+    let mut machine = Machine::default_for(config);
+    machine.system.interval_insns = (machine.system.interval_insns / DIAG_INTERVAL_DIVISOR).max(1);
+    machine
+}
+
 /// Capture `config` at the diagnosis sampling rate, optionally under a
 /// fault plan.
 pub fn capture_diag(config: ExperimentConfig, plan: Option<FaultPlan>) -> SystemTrace {
-    let mut sys_cfg = config.system_config();
-    sys_cfg.interval_insns = (sys_cfg.interval_insns / DIAG_INTERVAL_DIVISOR).max(1);
-    if let Some(p) = plan {
-        sys_cfg.fault = p;
-    }
-    capture_with(config, sys_cfg, Geometry::default())
+    diag_machine(config).with_faults(plan.unwrap_or(FaultPlan::none())).capture()
 }
 
 /// Engine configuration the report (and the localization gate) runs at.
@@ -240,19 +239,11 @@ fn diagnose_trace(trace: &SystemTrace) -> Diagnosis {
 /// machine, the workload behind a serial-initialization prologue, sampled
 /// finely enough for test-scale runs (same divisor as the placement study).
 pub fn capture_serial_init(config: ExperimentConfig) -> SystemTrace {
-    let mut sys_cfg = config.system_config();
-    sys_cfg.distribution = DistributionPolicy::FirstTouch;
-    sys_cfg.interval_insns = (sys_cfg.interval_insns / DIAG_INTERVAL_DIVISOR).max(1);
+    let mut machine = diag_machine(config);
+    machine.system.distribution = DistributionPolicy::FirstTouch;
     let stream = make_serial_init_stream(config.app, config.n_procs, config.scale);
-    let dist = Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::new(config.n_procs, dist, DetectorGeometry::default());
-    let (stats, collector) = System::new(sys_cfg, stream, collector).run();
-    SystemTrace {
-        config,
-        ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.into_records(),
-        stats,
-    }
+    let (stats, collector) = machine.assemble(stream, machine.collector()).run();
+    SystemTrace::from_run(config, stats, collector)
 }
 
 /// Diagnose one workload at `n_procs` across the report's columns.

@@ -11,7 +11,7 @@ use crate::experiment::ExperimentConfig;
 use crate::json::Json;
 use crate::parallel::{capture_matrix, RunReport};
 use crate::sweep::{bbv_curve, bbv_ddv_curve};
-use crate::trace::capture_cached;
+use crate::trace::{capture_cached, SystemTrace};
 
 /// Maximum phase count plotted (the paper's x-axes run to 25).
 pub const MAX_PHASES: usize = 25;
@@ -206,6 +206,49 @@ pub fn config_at(app: App, p: usize, scale: Scale) -> ExperimentConfig {
         Scale::Scaled => ExperimentConfig::scaled(app, p),
         Scale::Test => ExperimentConfig::test(app, p),
     }
+}
+
+/// A variant table (the `ablation` and `baselines` artefacts): for every
+/// workload at `n_procs`, each named curve `variants` derives from its
+/// cached trace, at 7, 15 and 25 phases. Returns the text — `header`, then
+/// one block per workload with names padded to `width` — and the CSV rows
+/// `[app, variant, phases, cov]`.
+pub fn variant_table(
+    header: &str,
+    width: usize,
+    n_procs: usize,
+    scale: Scale,
+    variants: impl Fn(&SystemTrace) -> Vec<(&'static str, CovCurve)>,
+) -> (String, Vec<Vec<String>>) {
+    let mut out = String::from(header);
+    let mut rows = Vec::new();
+    for app in App::ALL {
+        let trace = capture_cached(config_at(app, n_procs, scale));
+        out.push_str(&format!("{}:\n", app.name()));
+        for (name, curve) in variants(&trace) {
+            let at = |k: f64| {
+                curve.cov_at_phases(k).map(|v| format!("{v:.3}")).unwrap_or_else(|| "  n/a".into())
+            };
+            out.push_str(&format!(
+                "  {name:<width$} @7={} @15={} @25={}\n",
+                at(7.0),
+                at(15.0),
+                at(25.0)
+            ));
+            for k in [7.0, 15.0, 25.0] {
+                if let Some(cov) = curve.cov_at_phases(k) {
+                    rows.push(vec![
+                        app.name().into(),
+                        name.to_string(),
+                        format!("{k}"),
+                        format!("{cov:.6}"),
+                    ]);
+                }
+            }
+        }
+        out.push('\n');
+    }
+    (out, rows)
 }
 
 /// The paper's §III-A LU headline: CoV at a fixed (7-phase) budget for

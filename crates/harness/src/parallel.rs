@@ -29,8 +29,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use dsm_phase::detector::DetectorGeometry;
-use dsm_sim::config::SystemConfig;
+use dsm_phase::detector::{DetectorGeometry, TraceCollector};
+use dsm_sim::config::{FaultPlan, SystemConfig};
+use dsm_sim::event::ChunkedStream;
+use dsm_sim::network::Network;
+use dsm_sim::observer::SimObserver;
+use dsm_sim::system::System;
+use dsm_workloads::{make_stream, Workload};
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
@@ -86,18 +91,16 @@ pub fn budget_observer_threads(requested: usize) -> usize {
     }
 }
 
-/// Parse `--jobs N` from the command line (or `DSM_JOBS` from the
-/// environment), set the process-wide knob, and return the result.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let from_flag = args
-        .iter()
-        .position(|a| a == "--jobs" || a == "-j")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok());
-    let from_env = std::env::var("DSM_JOBS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok());
+/// Parse `--jobs N`/`-j N` from the command line (or `DSM_JOBS` from the
+/// environment), set the process-wide knob, and return the result. A
+/// missing or unparsable value is a usage error (exit status 2).
+pub fn jobs_from_args(usage: &str) -> usize {
+    let from_flag = crate::report::opt_flag_or_exit::<usize>("--jobs", usage)
+        .or_else(|| crate::report::opt_flag_or_exit("-j", usage));
+    let from_env = std::env::var("DSM_JOBS").ok().map(|s| {
+        s.parse::<usize>()
+            .unwrap_or_else(|e| crate::report::usage_exit(&format!("DSM_JOBS={s}: {e}"), usage))
+    });
     if let Some(n) = from_flag.or(from_env) {
         set_jobs(n.max(1));
     }
@@ -172,8 +175,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// instead of decoding garbage.
 const TRACE_FORMAT: &str = "dsm-trace-v2";
 
-/// One machine to capture: an experiment point, the machine configuration
-/// it runs on, and the detector geometry observing it.
+/// The instruction stream a workload feeds a simulated machine.
+pub type AppStream = ChunkedStream<Box<dyn Workload>>;
+
+/// A simulated machine running a workload, observed by `O`.
+pub type AppSystem<O = TraceCollector> = System<AppStream, O>;
+
+/// One machine to simulate: an experiment point, the machine configuration
+/// it runs on, and the detector geometry observing it. Every simulated run
+/// in the harness is assembled here ([`Machine::assemble`]), so the
+/// workload stream and the DDV distance matrix always belong to the
+/// machine that runs them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     pub config: ExperimentConfig,
@@ -187,6 +199,64 @@ impl Machine {
     /// simulates).
     pub fn default_for(config: ExperimentConfig) -> Self {
         Self { config, system: config.system_config(), geometry: DetectorGeometry::default() }
+    }
+
+    /// The same machine with `plan` driving the simulator's fault layer.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.system.fault = plan;
+        self
+    }
+
+    /// The DDV distance matrix `D` of this machine's own topology: `1 +
+    /// hops` between nodes, 1 on the diagonal.
+    pub fn distance_matrix(&self) -> Vec<f64> {
+        Network::new(self.system.network, self.config.n_procs).distance_matrix()
+    }
+
+    /// The workload stream of this machine's experiment point.
+    pub fn stream(&self) -> AppStream {
+        make_stream(self.config.app, self.config.n_procs, self.config.scale)
+    }
+
+    /// A collector over this machine's distances with one lane per
+    /// geometry in `geometries`, in order.
+    fn collector_lanes(&self, geometries: &[DetectorGeometry]) -> TraceCollector {
+        TraceCollector::with_lanes(self.config.n_procs, self.distance_matrix(), geometries)
+    }
+
+    /// A one-lane collector with this machine's geometry.
+    pub fn collector(&self) -> TraceCollector {
+        self.collector_lanes(&[self.geometry])
+    }
+
+    /// This machine driven by `stream` and watched by `observer`: the one
+    /// place a machine description becomes a running [`System`]. Callers
+    /// pass [`Machine::stream`] or a stream of their own (a fast-forwarded
+    /// or serial-initialization stream), and [`Machine::collector`] or an
+    /// observer built around it.
+    pub fn assemble<O: SimObserver>(&self, stream: AppStream, observer: O) -> AppSystem<O> {
+        assert_eq!(self.system.n_procs, self.config.n_procs);
+        System::new(self.system.clone(), stream, observer)
+    }
+
+    /// This machine running its own workload under its one-lane collector.
+    pub fn build(&self) -> AppSystem {
+        self.assemble(self.stream(), self.collector())
+    }
+
+    /// Simulate this machine once, observed through every geometry in
+    /// `geometries`: one trace per geometry, in order. The run never
+    /// depends on its observer, so each trace equals a one-geometry
+    /// capture of the same machine under that geometry.
+    pub fn capture_lanes(&self, geometries: &[DetectorGeometry]) -> Vec<SystemTrace> {
+        let (stats, collector) =
+            self.assemble(self.stream(), self.collector_lanes(geometries)).run();
+        SystemTrace::from_lanes(self.config, stats, collector)
+    }
+
+    /// Simulate this machine and capture its trace (uncached).
+    pub fn capture(&self) -> SystemTrace {
+        self.capture_lanes(&[self.geometry]).swap_remove(0)
     }
 
     /// The simulation this machine's trace comes from: the same machine
@@ -309,12 +379,6 @@ pub fn cache_counters() -> (u64, u64, u64) {
         DISK_HITS.load(Ordering::Relaxed),
         MISSES.load(Ordering::Relaxed),
     )
-}
-
-pub fn reset_cache_counters() {
-    MEM_HITS.store(0, Ordering::Relaxed);
-    DISK_HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,7 +558,7 @@ pub fn capture_machines(machines: &[Machine]) -> Vec<(Arc<SystemTrace>, CaptureS
         let lanes = group_by(slots, |&slot| looked_up[slot].1.clone());
         let geometries: Vec<DetectorGeometry> =
             lanes.iter().map(|(_, slots)| machines[slots[0]].geometry).collect();
-        let traces = trace::capture_lanes(run.config, run.system, &geometries);
+        let traces = run.capture_lanes(&geometries);
         let wall_ms = ms_since(t);
         lanes
             .into_iter()
@@ -579,10 +643,11 @@ pub fn capture_matrix(
 
 /// Standard binary preamble: parse `--jobs`/`-j N`, `--cold` (clear the
 /// store first), and `--no-cache` (disable persistence); enable the disk
-/// store otherwise. Returns the worker count.
-pub fn init_from_args() -> usize {
+/// store otherwise. Returns the worker count; a bad `--jobs` value prints
+/// `usage` and exits 2.
+pub fn init_from_args(usage: &str) -> usize {
     let args: Vec<String> = std::env::args().collect();
-    let n = jobs_from_args();
+    let n = jobs_from_args(usage);
     if args.iter().any(|a| a == "--no-cache") {
         set_trace_store_dir(None);
     } else {

@@ -52,18 +52,61 @@ pub fn flag_or_exit<T: std::str::FromStr>(flag: &str, default: T, usage: &str) -
 where
     T::Err: std::fmt::Display,
 {
+    opt_flag_or_exit(flag, usage).unwrap_or(default)
+}
+
+/// [`flag_or_exit`] for a flag without a default: `None` when the flag is
+/// absent.
+pub fn opt_flag_or_exit<T: std::str::FromStr>(flag: &str, usage: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
     let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return default;
-    };
+    let i = args.iter().position(|a| a == flag)?;
     let parsed = match args.get(i + 1) {
         Some(v) => v.parse().map_err(|e: T::Err| format!("{flag} {v}: {e}")),
         None => Err(format!("{flag} needs a value")),
     };
-    parsed.unwrap_or_else(|e| {
-        eprintln!("error: {e}\nusage: {usage}");
-        std::process::exit(2)
-    })
+    Some(parsed.unwrap_or_else(|e| usage_exit(&e, usage)))
+}
+
+/// The first positional argument parsed as `T`, or `default` when there is
+/// none. Arguments starting with `-` are flags; the one after each flag in
+/// `value_flags` is that flag's value, not a positional. An unparsable
+/// value prints the error and `usage` and exits with status 2.
+pub fn positional_or_exit<T: std::str::FromStr>(
+    value_flags: &[&str],
+    default: T,
+    usage: &str,
+) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if value_flags.contains(&a.as_str()) {
+            args.next();
+        } else if !a.starts_with('-') {
+            return a.parse().unwrap_or_else(|e| usage_exit(&format!("{a}: {e}"), usage));
+        }
+    }
+    default
+}
+
+/// `n_procs` when it is a power of two, else a usage error (exit status 2):
+/// the default hypercube fabric, like every layout the topology sweep
+/// compares, needs one.
+pub fn power_of_two_or_exit(n_procs: usize, usage: &str) -> usize {
+    if !n_procs.is_power_of_two() {
+        usage_exit(&format!("{n_procs} processors: the machine needs a power of two"), usage);
+    }
+    n_procs
+}
+
+/// Print `error` and `usage` to stderr and exit with status 2.
+pub fn usage_exit(error: &str, usage: &str) -> ! {
+    eprintln!("error: {error}\nusage: {usage}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]

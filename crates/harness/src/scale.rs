@@ -7,7 +7,8 @@
 //! [`SCALE_PROCS`]:
 //!
 //! * the **reference arm** — the serial core with the pre-optimization
-//!   all-to-one gather ([`TraceCollector::set_reference_gather`]), i.e.
+//!   all-to-one gather
+//!   ([`dsm_phase::detector::TraceCollector::set_reference_gather`]), i.e.
 //!   what one run cost before the sharded core landed;
 //! * the **sharded arm** — the production path
 //!   ([`crate::trace::capture_sharded`]'s machinery): sharded scheduler
@@ -24,13 +25,12 @@
 use std::time::Instant;
 
 use dsm_phase::ddv::GatherTopology;
-use dsm_phase::detector::{DetectorGeometry, TraceCollector};
 use dsm_phase::ShardedCollector;
-use dsm_sim::system::System;
-use dsm_workloads::{make_stream, App};
+use dsm_workloads::App;
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
+use crate::parallel::Machine;
 
 /// The node counts of the scaling curve: the paper's maximum and the two
 /// beyond-paper points.
@@ -128,12 +128,10 @@ struct ArmRun {
 
 /// One serial run with the pre-optimization all-to-one gather.
 fn reference_run(cfg: &ExperimentConfig) -> ArmRun {
-    let sys_cfg = cfg.system_config();
-    let stream = make_stream(cfg.app, cfg.n_procs, cfg.scale);
-    let dist = dsm_sim::network::Network::new(sys_cfg.network, cfg.n_procs).distance_matrix();
-    let mut collector = TraceCollector::new(cfg.n_procs, dist, DetectorGeometry::default());
+    let machine = Machine::default_for(*cfg);
+    let mut collector = machine.collector();
     collector.set_reference_gather(true);
-    let mut system = System::new(sys_cfg, stream, collector);
+    let mut system = machine.assemble(machine.stream(), collector);
     let t0 = Instant::now();
     system.run_to_interval(u64::MAX);
     let secs = t0.elapsed().as_secs_f64();
@@ -154,15 +152,12 @@ fn reference_run(cfg: &ExperimentConfig) -> ArmRun {
 /// One run on the sharded core: windowed scheduler, staged observer work,
 /// O(n) aggregate gather accounted along a binary reduction tree.
 fn sharded_run(cfg: &ExperimentConfig, shards: usize, threads: usize) -> ArmRun {
-    let sys_cfg = cfg.system_config();
-    let stream = make_stream(cfg.app, cfg.n_procs, cfg.scale);
-    let dist = dsm_sim::network::Network::new(sys_cfg.network, cfg.n_procs).distance_matrix();
-    let mut inner = TraceCollector::new(cfg.n_procs, dist, DetectorGeometry::default());
+    let machine = Machine::default_for(*cfg);
+    let mut inner = machine.collector();
     inner
         .ddv_mut()
         .set_collection_topology(GatherTopology::Tree { arity: 2 });
-    let collector = ShardedCollector::new(inner, threads);
-    let mut system = System::new(sys_cfg, stream, collector);
+    let mut system = machine.assemble(machine.stream(), ShardedCollector::new(inner, threads));
     system.enable_sharding(shards);
     let t0 = Instant::now();
     system.run_to_interval(u64::MAX);

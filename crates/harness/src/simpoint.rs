@@ -9,7 +9,7 @@
 //!    ([`dsm_simpoint::signatures`]).
 //! 2. **Select** — cluster the signatures with deterministic k-means and
 //!    pick one representative interval per cluster
-//!    ([`dsm_simpoint::select`]).
+//!    ([`dsm_simpoint::select()`]).
 //! 3. **Checkpoint** — re-run the workload once, snapshotting the complete
 //!    machine + collector state (`DSMCKPT5` codec) at each representative's
 //!    interval boundary; the continuation of this run doubles as a golden
@@ -19,6 +19,13 @@
 //!    fresh instruction stream, restore, simulate exactly one interval, and
 //!    combine the per-representative CPIs under cluster weights
 //!    ([`dsm_simpoint::reconstruct_cpi`]).
+//!
+//! Every checkpointed run is a [`Machine`] ([`capture_with_checkpoints`]
+//! takes one plus a shard count, which changes neither the trace nor the
+//! checkpoints' state). A checkpoint's metadata is
+//! [`Machine::checkpoint_meta`], and resume rebuilds the machine with
+//! [`Machine::from_checkpoint_meta`]: one conversion in each direction, so
+//! a snapshot and its resume cannot disagree about the machine.
 //!
 //! Everything is deterministic: fixed selection seed, deterministic
 //! workloads, canonical checkpoint encoding — so the JSON artefacts under
@@ -31,20 +38,16 @@
 
 use std::path::PathBuf;
 
-use dsm_phase::detector::{DetectorGeometry, TraceCollector};
-use dsm_sim::config::{FaultPlan, SystemConfig};
-use dsm_sim::event::{ChunkedStream, InstructionStream};
-use dsm_sim::network::Network;
-use dsm_sim::system::System;
+use dsm_sim::config::FaultPlan;
+use dsm_sim::event::InstructionStream;
 use dsm_simpoint::{
     interval_cpis, mean_and_cov, reconstruct_cpi, relative_error, select, signatures,
     stratified_members, Checkpoint, CheckpointMeta, Reconstructed, SampleUnit, Selection,
 };
-use dsm_workloads::{make_stream, Workload};
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
-use crate::parallel::par_map;
+use crate::parallel::{par_map, AppSystem, Machine};
 use crate::report;
 use crate::trace::{capture_cached, capture_with_faults, SystemTrace};
 
@@ -56,77 +59,66 @@ pub const SELECTION_SEED: u64 = 0x51_D0_17;
 /// the simulated-interval reduction stays at least 5x.
 pub const MAX_K: usize = 64;
 
-type AppSystem = System<ChunkedStream<Box<dyn Workload>>, TraceCollector>;
-
-/// Run `config` under `plan`, snapshotting the machine at each boundary in
-/// `boundaries` (sorted, deduplicated; boundary `b` = the state before
-/// global interval `b` executes). Returns the encoded checkpoints as
-/// `(boundary, bytes)` pairs plus the full-run trace of this same pass.
+/// Run `machine` on `shards` shards (0 or 1 = the serial core),
+/// snapshotting it at each boundary in `boundaries` (boundary `b` = the
+/// state before global interval `b` executes). Returns the encoded
+/// checkpoints as `(boundary, bytes)` pairs, in boundary order, plus the
+/// full-run trace of this same pass. Each checkpoint records the shard
+/// count, so [`resume_checkpoint`] re-enables the identical scheduler;
+/// sharded runs are bit-identical to serial ones (the round-trip suite
+/// pins this).
 ///
 /// Panics if a requested boundary lies beyond the end of the run — callers
-/// derive boundaries from a profiling pass of the identical configuration,
-/// so an unreachable boundary is a determinism bug, not an input error.
+/// derive boundaries from a profiling pass of the identical machine, so an
+/// unreachable boundary is a determinism bug, not an input error.
 pub fn capture_with_checkpoints(
-    config: ExperimentConfig,
-    plan: FaultPlan,
-    boundaries: &[u64],
-) -> (Vec<(u64, Vec<u8>)>, SystemTrace) {
-    let mut sys_cfg = config.system_config();
-    sys_cfg.fault = plan;
-    capture_checkpoints_inner(config, sys_cfg, boundaries, false, 0)
-}
-
-/// [`capture_with_checkpoints`] on the sharded parallel core: the run
-/// executes under `shards` shards (conservative window barrier included)
-/// and each checkpoint records the shard count in its `DSMCKPT5` metadata,
-/// so [`resume_checkpoint`] re-enables the identical sharded scheduler.
-/// Bit-identical to the serial capture — the round-trip suite pins this.
-pub fn capture_with_checkpoints_sharded(
-    config: ExperimentConfig,
-    plan: FaultPlan,
+    machine: &Machine,
     boundaries: &[u64],
     shards: usize,
 ) -> (Vec<(u64, Vec<u8>)>, SystemTrace) {
-    let mut sys_cfg = config.system_config();
-    sys_cfg.fault = plan;
-    capture_checkpoints_inner(config, sys_cfg, boundaries, false, shards)
+    checkpoint_run(machine, shards, sorted_unique(boundaries), false, false)
 }
 
-/// [`capture_with_checkpoints`] with an explicit machine configuration —
-/// the routed-fabric round-trip tests checkpoint non-default topologies
-/// with link contention on. The fault plan is `sys_cfg.fault`.
-pub fn capture_with_checkpoints_cfg(
-    config: ExperimentConfig,
-    sys_cfg: SystemConfig,
-    boundaries: &[u64],
+/// Run `machine`, snapshotting every `every` global interval boundaries
+/// until the run ends. The open-ended sibling of
+/// [`capture_with_checkpoints`] for the `faults --checkpoint-every` flag.
+pub fn capture_checkpoint_every(
+    machine: &Machine,
+    every: u64,
 ) -> (Vec<(u64, Vec<u8>)>, SystemTrace) {
-    capture_checkpoints_inner(config, sys_cfg, boundaries, false, 0)
+    assert!(every > 0, "checkpoint period must be positive");
+    checkpoint_run(machine, 0, (1..).map(|k| k * every), true, false)
 }
 
-fn capture_checkpoints_inner(
-    config: ExperimentConfig,
-    sys_cfg: SystemConfig,
-    boundaries: &[u64],
-    strip_records: bool,
-    shards: usize,
-) -> (Vec<(u64, Vec<u8>)>, SystemTrace) {
-    let mut sorted: Vec<u64> = boundaries.to_vec();
+fn sorted_unique(boundaries: &[u64]) -> Vec<u64> {
+    let mut sorted = boundaries.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
+    sorted
+}
 
-    let mut sys = fresh_system(config, sys_cfg.clone());
+/// The one checkpointing pass. `open_ended` stops at the first unreachable
+/// boundary instead of panicking; `strip_records` drops each checkpoint's
+/// interval records before its boundary.
+fn checkpoint_run(
+    machine: &Machine,
+    shards: usize,
+    boundaries: impl IntoIterator<Item = u64>,
+    open_ended: bool,
+    strip_records: bool,
+) -> (Vec<(u64, Vec<u8>)>, SystemTrace) {
+    let mut sys = machine.build();
     if shards > 1 {
         sys.enable_sharding(shards);
     }
-    let mut ckpts = Vec::with_capacity(sorted.len());
-    for &b in &sorted {
-        let reached = sys.run_to_interval(b);
-        assert!(
-            reached && sys.min_interval_index() != u64::MAX,
-            "boundary {b} not reachable for {}",
-            config.label()
-        );
-        let mut ck = snapshot(&sys, config, &sys_cfg, b);
+    let mut ckpts = Vec::new();
+    for b in boundaries {
+        let reached = sys.run_to_interval(b) && sys.min_interval_index() != u64::MAX;
+        if !reached {
+            assert!(open_ended, "boundary {b} not reachable for {}", machine.config.label());
+            break;
+        }
+        let mut ck = snapshot(&sys, machine, b);
         if strip_records {
             // The replay worker only measures interval `b`, but processors
             // ahead of the global boundary may have recorded it already —
@@ -141,80 +133,78 @@ fn capture_checkpoints_inner(
         ckpts.push((b, ck.encode()));
     }
     let (stats, collector) = sys.run_to_end();
-    let trace = SystemTrace {
-        config,
-        ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.into_records(),
-        stats,
-    };
-    (ckpts, trace)
+    (ckpts, SystemTrace::from_run(machine.config, stats, collector))
 }
 
-/// Run `config` under `plan`, snapshotting every `every` global interval
-/// boundaries until the run ends. The open-ended sibling of
-/// [`capture_with_checkpoints`] for the `faults --checkpoint-every` flag.
-pub fn capture_checkpoint_every(
-    config: ExperimentConfig,
-    plan: FaultPlan,
-    every: u64,
-) -> (Vec<(u64, Vec<u8>)>, SystemTrace) {
-    assert!(every > 0, "checkpoint period must be positive");
-    let mut sys_cfg = config.system_config();
-    sys_cfg.fault = plan;
-    let mut sys = fresh_system(config, sys_cfg.clone());
-    let mut ckpts = Vec::new();
-    let mut b = every;
-    loop {
-        if !sys.run_to_interval(b) || sys.min_interval_index() == u64::MAX {
-            break;
-        }
-        ckpts.push((b, snapshot(&sys, config, &sys_cfg, b).encode()));
-        b += every;
+impl Machine {
+    /// The machine a checkpoint was taken on: the experiment point's
+    /// machine with the recorded fault plan and fabric, observed through
+    /// the recorded geometry. Inverse of [`Machine::checkpoint_meta`].
+    pub fn from_checkpoint_meta(meta: &CheckpointMeta) -> Machine {
+        let config = ExperimentConfig {
+            app: meta.app,
+            n_procs: meta.n_procs,
+            scale: meta.scale,
+            interval_base: meta.interval_base,
+        };
+        let mut system = config.system_config();
+        system.fault = meta.plan;
+        // The snapshot's link vectors are indexed by the captured
+        // topology's directed-link ids; rebuild the identical fabric, not
+        // the default one.
+        system.network.topology = meta.topology;
+        system.network.link_contention = meta.link_contention;
+        Machine { config, system, geometry: meta.geometry }
     }
-    let (stats, collector) = sys.run_to_end();
-    let trace = SystemTrace {
-        config,
-        ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.into_records(),
-        stats,
-    };
-    (ckpts, trace)
+
+    /// Checkpoint metadata for this machine at global interval boundary
+    /// `interval_index`, run on `shards` shards (0 = the serial core).
+    ///
+    /// Panics if the metadata cannot describe the machine: beyond the
+    /// experiment point it records only the fault plan and the fabric, and
+    /// a resume would rebuild a different machine.
+    pub fn checkpoint_meta(&self, interval_index: u64, shards: usize) -> CheckpointMeta {
+        let meta = CheckpointMeta {
+            app: self.config.app,
+            n_procs: self.config.n_procs,
+            scale: self.config.scale,
+            interval_base: self.config.interval_base,
+            topology: self.system.network.topology,
+            link_contention: self.system.network.link_contention,
+            plan: self.system.fault,
+            geometry: self.geometry,
+            interval_index,
+            shards,
+        };
+        assert!(
+            Machine::from_checkpoint_meta(&meta) == *self,
+            "{}: checkpoint metadata cannot describe this machine",
+            self.config.label()
+        );
+        meta
+    }
 }
 
-/// Rebuild a live system from a decoded checkpoint: reconstruct the machine
-/// configuration from the metadata, fast-forward a fresh instruction stream
-/// by the recorded per-processor fetch counts, import the collector state,
-/// and restore the machine state. The result continues bit-identically to
-/// the run the checkpoint was taken from.
+/// Rebuild a live system from a decoded checkpoint: the machine its
+/// metadata names, a fresh instruction stream fast-forwarded by the
+/// recorded per-processor fetch counts, and the imported collector and
+/// machine state. The result continues bit-identically to the run the
+/// checkpoint was taken from.
 pub fn resume_checkpoint(ck: &Checkpoint) -> AppSystem {
-    let config = ExperimentConfig {
-        app: ck.meta.app,
-        n_procs: ck.meta.n_procs,
-        scale: ck.meta.scale,
-        interval_base: ck.meta.interval_base,
-    };
-    let mut sys_cfg = config.system_config();
-    sys_cfg.fault = ck.meta.plan;
-    // The snapshot's link vectors are indexed by the captured topology's
-    // directed-link ids; rebuild the identical fabric, not the default one.
-    sys_cfg.network.topology = ck.meta.topology;
-    sys_cfg.network.link_contention = ck.meta.link_contention;
-
+    let machine = Machine::from_checkpoint_meta(&ck.meta);
     // Streams are pure functions of (app, n_procs, scale); replaying the
     // recorded fetch counts puts a fresh one exactly where the snapshotted
     // stream stopped (including the parked pending events).
-    let mut stream = make_stream(config.app, config.n_procs, config.scale);
+    let mut stream = machine.stream();
     for (p, &n) in ck.system.fetched.iter().enumerate() {
         for _ in 0..n {
             let _ = stream.next(p);
         }
     }
-
-    let dist = Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let mut collector = TraceCollector::new(config.n_procs, dist, ck.meta.geometry);
+    let mut collector = machine.collector();
     collector.import_state(&ck.collector);
 
-    let mut sys = System::new(sys_cfg, stream, collector);
+    let mut sys = machine.assemble(stream, collector);
     // Re-enable the captured shard layout first, so the state restore
     // rebuilds its per-shard scheduler trees from the restored processor
     // states. The continuation is bit-identical either way (sharded ≡
@@ -226,23 +216,11 @@ pub fn resume_checkpoint(ck: &Checkpoint) -> AppSystem {
     sys
 }
 
-/// Decode `bytes`, resume, and run to completion. Used by the round-trip
-/// differential tests and the `faults --resume` flag.
-pub fn resume_to_end(bytes: &[u8]) -> SystemTrace {
-    let ck = Checkpoint::decode(bytes).expect("checkpoint decodes");
-    let config = ExperimentConfig {
-        app: ck.meta.app,
-        n_procs: ck.meta.n_procs,
-        scale: ck.meta.scale,
-        interval_base: ck.meta.interval_base,
-    };
-    let (stats, collector) = resume_checkpoint(&ck).run_to_end();
-    SystemTrace {
-        config,
-        ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-        records: collector.into_records(),
-        stats,
-    }
+/// Resume `ck` and run to completion. Used by the round-trip differential
+/// tests and the `faults --resume` flag.
+pub fn resume_to_end(ck: &Checkpoint) -> SystemTrace {
+    let (stats, collector) = resume_checkpoint(ck).run_to_end();
+    SystemTrace::from_run(Machine::from_checkpoint_meta(&ck.meta).config, stats, collector)
 }
 
 /// One sampled-simulation run: selection, stratified per-cluster
@@ -311,9 +289,8 @@ pub fn sampled_run(config: ExperimentConfig, plan: FaultPlan) -> SimpointResult 
     // workers never look at pre-boundary interval records, so those are
     // stripped to keep hundreds of checkpoints memory-bounded.
     let boundaries: Vec<u64> = samples.iter().flatten().map(|u| u.interval as u64).collect();
-    let mut ckpt_cfg = config.system_config();
-    ckpt_cfg.fault = plan;
-    let (ckpts, golden) = capture_checkpoints_inner(config, ckpt_cfg, &boundaries, true, 0);
+    let machine = Machine::default_for(config).with_faults(plan);
+    let (ckpts, golden) = checkpoint_run(&machine, 0, sorted_unique(&boundaries), false, true);
     assert_eq!(
         golden.stats, profile.stats,
         "{}: checkpoint pass diverged from profiling pass",
@@ -466,33 +443,10 @@ pub fn write_artifacts(r: &SimpointResult) -> std::io::Result<(PathBuf, PathBuf)
     Ok((a, b))
 }
 
-fn fresh_system(config: ExperimentConfig, sys_cfg: SystemConfig) -> AppSystem {
-    let stream = make_stream(config.app, config.n_procs, config.scale);
-    let dist = Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::new(config.n_procs, dist, DetectorGeometry::default());
-    System::new(sys_cfg, stream, collector)
-}
-
-fn snapshot(
-    sys: &AppSystem,
-    config: ExperimentConfig,
-    sys_cfg: &SystemConfig,
-    boundary: u64,
-) -> Checkpoint {
+fn snapshot(sys: &AppSystem, machine: &Machine, boundary: u64) -> Checkpoint {
     Checkpoint {
-        meta: CheckpointMeta {
-            app: config.app,
-            n_procs: config.n_procs,
-            scale: config.scale,
-            interval_base: config.interval_base,
-            topology: sys_cfg.network.topology,
-            link_contention: sys_cfg.network.link_contention,
-            plan: sys_cfg.fault,
-            geometry: sys.observer().geometry(),
-            interval_index: boundary,
-            // 0 = the serial core; resume re-enables the same sharding.
-            shards: sys.shard_layout().map_or(0, |l| l.n_shards()),
-        },
+        // 0 = the serial core; resume re-enables the same sharding.
+        meta: machine.checkpoint_meta(boundary, sys.shard_layout().map_or(0, |l| l.n_shards())),
         system: sys.state_snapshot(),
         collector: sys.observer().export_state(),
         adapt: None,
@@ -507,24 +461,32 @@ mod tests {
     #[test]
     fn resumed_run_matches_straight_run() {
         let config = ExperimentConfig::test(App::Lu, 2);
-        let (ckpts, golden) = capture_with_checkpoints(config, FaultPlan::none(), &[2]);
+        let (ckpts, golden) = capture_with_checkpoints(&Machine::default_for(config), &[2], 0);
         assert_eq!(ckpts.len(), 1);
-        let resumed = resume_to_end(&ckpts[0].1);
+        let resumed = resume_to_end(&Checkpoint::decode(&ckpts[0].1).unwrap());
         assert_eq!(resumed.stats, golden.stats);
         assert_eq!(resumed.records, golden.records);
         assert_eq!(resumed.ddv_vectors_exchanged, golden.ddv_vectors_exchanged);
     }
 
     #[test]
+    #[should_panic(expected = "checkpoint metadata cannot describe this machine")]
+    fn checkpoint_meta_refuses_a_machine_it_cannot_describe() {
+        let mut machine = Machine::default_for(ExperimentConfig::test(App::Lu, 2));
+        machine.system.interval_insns /= 2;
+        let _ = machine.checkpoint_meta(1, 0);
+    }
+
+    #[test]
     fn checkpoint_every_boundaries_are_periodic() {
         let config = ExperimentConfig::test(App::Fmm, 2);
-        let (ckpts, trace) = capture_checkpoint_every(config, FaultPlan::none(), 2);
+        let (ckpts, trace) = capture_checkpoint_every(&Machine::default_for(config), 2);
         assert!(!ckpts.is_empty());
         for (i, (b, _)) in ckpts.iter().enumerate() {
             assert_eq!(*b, 2 * (i as u64 + 1));
         }
         // Each one resumes to the identical end state.
-        let resumed = resume_to_end(&ckpts.last().unwrap().1);
+        let resumed = resume_to_end(&Checkpoint::decode(&ckpts.last().unwrap().1).unwrap());
         assert_eq!(resumed.stats, trace.stats);
     }
 

@@ -25,7 +25,7 @@ use dsm_phase::distance::{manhattan, manhattan_concat, relative_diff};
 use dsm_phase::working_set::WsSignature;
 use dsm_phase::{DistanceTriangle, IndexReplay, DEFAULT_FOOTPRINT_VECTORS};
 
-use crate::parallel::par_map;
+use crate::parallel::{par_map, Machine};
 use crate::trace::SystemTrace;
 
 /// Number of BBV thresholds in the 1-D baseline sweep (paper: 200).
@@ -190,6 +190,14 @@ fn threshold_grid(n_bbv: usize, n_dds: usize) -> Vec<SweepPoint> {
         .collect()
 }
 
+/// The DDV distance matrix of the machine `trace` ran on, one row per
+/// processor. Sweeps replay traces of their experiment point's default
+/// machine.
+fn distance_rows(trace: &SystemTrace) -> Vec<Vec<f64>> {
+    let dist = Machine::default_for(trace.config).distance_matrix();
+    dist.chunks(trace.config.n_procs).map(<[f64]>::to_vec).collect()
+}
+
 /// Which DDS ablation to sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DdsAblation {
@@ -218,12 +226,12 @@ pub fn ablated_dds(rec: &IntervalRecord, dist_row: &[f64], which: DdsAblation) -
 /// BBV+DDV sweep with an ablated DDS formula (experiments A1/A2 in
 /// DESIGN.md): the table's DDS gate compares the ablated values.
 pub fn ablation_curve(trace: &SystemTrace, which: DdsAblation) -> CovCurve {
-    let ddv = DdvState::for_hypercube(trace.config.n_procs);
+    let dist = distance_rows(trace);
     let thresholds = threshold_grid(DDV_GRID_BBV, DDV_GRID_DDS);
     replay_curve(trace, thresholds, DEFAULT_FOOTPRINT_VECTORS, |p, recs| {
         let dds = recs
             .iter()
-            .map(|r| ablated_dds(r, ddv.dist_row(p), which))
+            .map(|r| ablated_dds(r, &dist[p], which))
             .collect();
         bbv_signatures(recs, dds)
     })
@@ -260,12 +268,12 @@ fn vector_ddv_tail(fvec: &[u64], dist_row: &[f64], data_weight: f64) -> Vec<f64>
 /// vector then sums to `1 + data_weight`, so thresholds live in
 /// `[0, 2(1 + data_weight)]`).
 pub fn vector_ddv_curve(trace: &SystemTrace, data_weight: f64) -> CovCurve {
-    let ddv = DdvState::for_hypercube(trace.config.n_procs);
+    let dist = distance_rows(trace);
     let thresholds = line(BBV_SWEEP_POINTS, 1e-3, 2.0 * (1.0 + data_weight));
     replay_curve(trace, thresholds, DEFAULT_FOOTPRINT_VECTORS, |p, recs| {
         let tails: Vec<Vec<f64>> = recs
             .iter()
-            .map(|r| vector_ddv_tail(&r.fvec, ddv.dist_row(p), data_weight))
+            .map(|r| vector_ddv_tail(&r.fvec, &dist[p], data_weight))
             .collect();
         // A stored entry is the materialized concatenation; the query is
         // compared in two segments, bit-identical to the table's pass over

@@ -23,13 +23,12 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use dsm_phase::detector::{DetectorGeometry, TraceCollector};
-use dsm_sim::system::System;
 use dsm_telemetry::{chrome, MetricSample, MetricValue, MetricsRegistry, Snapshot};
-use dsm_workloads::{make_stream, App, Scale};
+use dsm_workloads::{App, Scale};
 
 use crate::experiment::ExperimentConfig;
 use crate::json::Json;
+use crate::parallel::Machine;
 use crate::trace::SystemTrace;
 
 /// A telemetry-instrumented capture: the usual trace plus the merged
@@ -44,12 +43,7 @@ pub struct TelemetryCapture {
 /// keep the telemetry snapshot alongside the trace. The simulated run is
 /// identical — telemetry never feeds back into timing.
 pub fn capture_with_telemetry(config: ExperimentConfig) -> TelemetryCapture {
-    let sys_cfg = config.system_config();
-    assert_eq!(sys_cfg.n_procs, config.n_procs);
-    let stream = make_stream(config.app, config.n_procs, config.scale);
-    let collector = TraceCollector::for_hypercube(config.n_procs, DetectorGeometry::default());
-    let system = System::new(sys_cfg, stream, collector);
-    let (stats, collector, mut snapshot) = system.run_telemetry();
+    let (stats, collector, mut snapshot) = Machine::default_for(config).build().run_telemetry();
     if snapshot.enabled {
         // Fold the detector-side DDV traffic into the same registry the
         // simulator published to, keeping one flat, sorted namespace.
@@ -58,15 +52,7 @@ pub fn capture_with_telemetry(config: ExperimentConfig) -> TelemetryCapture {
         collector.ddv().publish_metrics("detector/ddv", &mut reg);
         snapshot.metrics = reg.samples();
     }
-    TelemetryCapture {
-        trace: SystemTrace {
-            config,
-            ddv_vectors_exchanged: collector.ddv().vectors_exchanged(),
-            records: collector.into_records(),
-            stats,
-        },
-        snapshot,
-    }
+    TelemetryCapture { trace: SystemTrace::from_run(config, stats, collector), snapshot }
 }
 
 /// Serialize one metric sample as a deterministic JSON object.
@@ -179,26 +165,12 @@ pub fn export_registry(dir: &Path, label: &str, reg: &MetricsRegistry) -> io::Re
     Ok(path)
 }
 
-/// Parse `--telemetry-out <dir>` from the command line. `None` when the
-/// flag is absent (telemetry export off — the default).
-pub fn telemetry_out_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--telemetry-out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
-
 /// Capture every workload at `n_procs`/`scale` with telemetry and export
 /// one artifact triple per workload into `dir`. Returns all written paths.
 pub fn export_workloads(dir: &Path, scale: Scale, n_procs: usize) -> io::Result<Vec<PathBuf>> {
     let mut paths = Vec::new();
     for app in App::ALL {
-        let config = match scale {
-            Scale::Test => ExperimentConfig::test(app, n_procs),
-            Scale::Scaled => ExperimentConfig::scaled(app, n_procs),
-            Scale::Paper => ExperimentConfig::paper(app, n_procs),
-        };
+        let config = crate::figures::config_at(app, n_procs, scale);
         let cap = capture_with_telemetry(config);
         paths.extend(export_run(dir, &config.label(), &cap.snapshot)?);
     }

@@ -18,7 +18,8 @@ use dsm_workloads::App;
 use crate::experiment::ExperimentConfig;
 use crate::faults::{classified_cov, SWEEP_THRESHOLDS};
 use crate::json::Json;
-use crate::trace::{capture_with, SystemTrace};
+use crate::parallel::Machine;
+use crate::trace::SystemTrace;
 
 /// One layout's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,10 +65,10 @@ pub struct TopologySweep {
 /// Capture one workload on one layout (link contention on) and distil the
 /// detector-quality and link-demand numbers.
 pub fn topology_point(config: ExperimentConfig, kind: TopologyKind) -> (TopologyPoint, SystemTrace) {
-    let mut sys_cfg = config.system_config();
-    sys_cfg.network.topology = kind;
-    sys_cfg.network.link_contention = true;
-    let trace = capture_with(config, sys_cfg, Default::default());
+    let mut machine = Machine::default_for(config);
+    machine.system.network.topology = kind;
+    machine.system.network.link_contention = true;
+    let trace = machine.capture();
     assert!(
         trace.stats.coherence_transactions_conserved(),
         "{} on {}: transactions not conserved",

@@ -1,29 +1,30 @@
-//! Trace capture: run one simulation per experiment configuration and
-//! record the per-interval feature snapshots all sweeps classify offline.
+//! Traces: the per-interval feature snapshots all sweeps classify offline,
+//! captured once per simulated machine.
 //!
 //! Classification does not feed back into execution in the paper's
 //! evaluation, so a single capture supports arbitrarily many threshold
-//! sweeps (see DESIGN.md §2, "online/offline equivalence"). Captures are
-//! cached in-memory keyed by configuration so figures and benches never
-//! re-simulate; the parallel engine ([`crate::parallel`]) layers a
-//! content-addressed on-disk store and a worker pool on top.
+//! sweeps (see DESIGN.md §2, "online/offline equivalence"). Every run is
+//! assembled by [`Machine`], and every finished run becomes a trace
+//! through [`SystemTrace::from_lanes`]. Captures are cached in memory keyed
+//! by [`Machine::key`] so figures never re-simulate; the parallel engine
+//! ([`crate::parallel`]) layers a content-addressed on-disk store and a
+//! worker pool on top.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use dsm_phase::detector::{DetectorGeometry, IntervalRecord, TraceCollector};
+use dsm_phase::detector::{IntervalRecord, TraceCollector};
 use dsm_sim::memctrl::MemCtrlStats;
 use dsm_sim::network::NetworkStats;
 use dsm_sim::stats::SystemStats;
-use dsm_sim::system::System;
 use dsm_simpoint::wire::{
     get_app, get_directory_stats, get_fault_stats, get_proc_stats, get_reconfig_stats,
     get_records, get_scale, put_app, put_directory_stats, put_fault_stats, put_proc_stats,
     put_reconfig_stats, put_records, put_scale, CodecError, Reader, Writer,
 };
-use dsm_workloads::make_stream;
 
 use crate::experiment::ExperimentConfig;
+use crate::parallel::Machine;
 
 /// A captured run: per-processor interval records plus machine statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +38,35 @@ pub struct SystemTrace {
 }
 
 impl SystemTrace {
+    /// A finished run of `config` as one trace per collector lane, in
+    /// geometry order. The one place a run becomes a trace.
+    pub fn from_lanes(
+        config: ExperimentConfig,
+        stats: SystemStats,
+        collector: TraceCollector,
+    ) -> Vec<SystemTrace> {
+        let ddv_vectors_exchanged = collector.ddv().vectors_exchanged();
+        collector
+            .into_lanes()
+            .into_iter()
+            .map(|records| SystemTrace {
+                config,
+                records,
+                stats: stats.clone(),
+                ddv_vectors_exchanged,
+            })
+            .collect()
+    }
+
+    /// A finished run as the trace of the collector's first lane.
+    pub fn from_run(
+        config: ExperimentConfig,
+        stats: SystemStats,
+        collector: TraceCollector,
+    ) -> Self {
+        Self::from_lanes(config, stats, collector).swap_remove(0)
+    }
+
     /// Total captured intervals across all processors.
     pub fn total_intervals(&self) -> usize {
         self.records.iter().map(|r| r.len()).sum()
@@ -146,9 +176,10 @@ pub const TRACE_MAGIC: &[u8; 8] = b"DSMTRC4\n";
 /// Length of the version-independent `DSMTRC` family prefix.
 const TRACE_FAMILY_LEN: usize = 6;
 
-/// Run the simulation for `config` and capture its trace (uncached).
+/// Run the simulation for `config` on its default machine and capture its
+/// trace (uncached).
 pub fn capture(config: ExperimentConfig) -> SystemTrace {
-    capture_with(config, config.system_config(), DetectorGeometry::default())
+    Machine::default_for(config).capture()
 }
 
 /// Capture under a fault plan: the same machine and workload as
@@ -159,51 +190,7 @@ pub fn capture_with_faults(
     config: ExperimentConfig,
     plan: dsm_sim::config::FaultPlan,
 ) -> SystemTrace {
-    let mut sys_cfg = config.system_config();
-    sys_cfg.fault = plan;
-    capture_with(config, sys_cfg, DetectorGeometry::default())
-}
-
-/// Capture with an explicit machine configuration and detector geometry
-/// (sensitivity studies: interval length, placement policy, accumulator and
-/// footprint-table sizes).
-pub fn capture_with(
-    config: ExperimentConfig,
-    sys_cfg: dsm_sim::config::SystemConfig,
-    geometry: DetectorGeometry,
-) -> SystemTrace {
-    let mut lanes = capture_lanes(config, sys_cfg, &[geometry]);
-    lanes.pop().expect("one trace per geometry")
-}
-
-/// One simulation of `config` on `sys_cfg`, observed through every
-/// detector geometry in `geometries`: one trace per geometry, in order.
-/// The run never depends on its observer, so each trace equals
-/// [`capture_with`] under that geometry alone.
-pub fn capture_lanes(
-    config: ExperimentConfig,
-    sys_cfg: dsm_sim::config::SystemConfig,
-    geometries: &[DetectorGeometry],
-) -> Vec<SystemTrace> {
-    assert_eq!(sys_cfg.n_procs, config.n_procs);
-    let stream = make_stream(config.app, config.n_procs, config.scale);
-    // The DDV distance matrix follows the configured topology (identical to
-    // the historical hypercube matrix at the default layout).
-    let dist = dsm_sim::network::Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::with_lanes(config.n_procs, dist, geometries);
-    let system = System::new(sys_cfg, stream, collector);
-    let (stats, collector) = system.run();
-    let ddv_vectors_exchanged = collector.ddv().vectors_exchanged();
-    collector
-        .into_lanes()
-        .into_iter()
-        .map(|records| SystemTrace {
-            config,
-            records,
-            stats: stats.clone(),
-            ddv_vectors_exchanged,
-        })
-        .collect()
+    Machine::default_for(config).with_faults(plan).capture()
 }
 
 /// A sharded capture: the trace plus the parallel-core counters the scale
@@ -251,15 +238,9 @@ pub fn capture_sharded_with(
     shards: usize,
     threads: usize,
 ) -> ShardedCapture {
-    let mut sys_cfg = config.system_config();
-    sys_cfg.fault = plan;
-    let stream = make_stream(config.app, config.n_procs, config.scale);
-    let dist = dsm_sim::network::Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = dsm_phase::ShardedCollector::new(
-        TraceCollector::new(config.n_procs, dist, DetectorGeometry::default()),
-        threads,
-    );
-    let mut system = System::new(sys_cfg, stream, collector);
+    let machine = Machine::default_for(config).with_faults(plan);
+    let collector = dsm_phase::ShardedCollector::new(machine.collector(), threads);
+    let mut system = machine.assemble(machine.stream(), collector);
     system.enable_sharding(shards);
     system.run_to_interval(u64::MAX);
     let windows = system.window_counters();
@@ -269,14 +250,8 @@ pub fn capture_sharded_with(
     // whole run.
     collector.collector();
     let drains = collector.counters();
-    let inner = collector.into_inner();
     ShardedCapture {
-        trace: SystemTrace {
-            config,
-            ddv_vectors_exchanged: inner.ddv().vectors_exchanged(),
-            records: inner.into_records(),
-            stats,
-        },
+        trace: SystemTrace::from_run(config, stats, collector.into_inner()),
         windows,
         drains,
         shards,
@@ -321,13 +296,6 @@ pub fn capture_cached(config: ExperimentConfig) -> Arc<SystemTrace> {
     let trace = Arc::new(capture(config));
     memory_cache_insert(key, trace.clone());
     trace
-}
-
-/// Capture many configurations in parallel and populate the cache. Thin
-/// wrapper over [`crate::parallel::capture_matrix`] for callers that do not
-/// need the run report.
-pub fn capture_all_cached(configs: &[ExperimentConfig]) {
-    let _ = crate::parallel::capture_matrix("capture_all_cached", configs);
 }
 
 #[cfg(test)]
@@ -389,7 +357,7 @@ mod tests {
             ExperimentConfig::test(App::Fmm, 2),
             ExperimentConfig::test(App::Fmm, 4),
         ];
-        capture_all_cached(&cfgs);
+        let _ = crate::parallel::capture_matrix("parallel_capture_populates_cache", &cfgs);
         for c in cfgs {
             let t = capture_cached(c);
             assert!(t.total_intervals() > 0);

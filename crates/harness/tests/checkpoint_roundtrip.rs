@@ -9,10 +9,8 @@
 //! checkpointing bugs with sampling noise and the 5 % CPI gate would be
 //! meaningless.
 
-use dsm_harness::simpoint::{
-    capture_with_checkpoints, capture_with_checkpoints_cfg, capture_with_checkpoints_sharded,
-    resume_to_end,
-};
+use dsm_harness::parallel::Machine;
+use dsm_harness::simpoint::{capture_with_checkpoints, resume_to_end};
 use dsm_simpoint::codec::Checkpoint;
 use dsm_harness::ExperimentConfig;
 use dsm_sim::config::FaultPlan;
@@ -22,10 +20,11 @@ use dsm_workloads::App;
 /// Capture with checkpoints at the given boundaries, then resume from every
 /// checkpoint and require an identical end state.
 fn assert_roundtrip(config: ExperimentConfig, plan: FaultPlan, boundaries: &[u64]) {
-    let (ckpts, golden) = capture_with_checkpoints(config, plan, boundaries);
+    let machine = Machine::default_for(config).with_faults(plan);
+    let (ckpts, golden) = capture_with_checkpoints(&machine, boundaries, 0);
     assert_eq!(ckpts.len(), boundaries.len(), "{}: missing checkpoints", config.label());
     for (b, bytes) in &ckpts {
-        let resumed = resume_to_end(bytes);
+        let resumed = resume_to_end(&Checkpoint::decode(bytes).expect("checkpoint decodes"));
         assert_eq!(
             resumed.stats,
             golden.stats,
@@ -80,14 +79,14 @@ fn roundtrip_routed_fabric_nondefault_topologies() {
         (App::Art, TopologyKind::FatTree),
     ] {
         let config = ExperimentConfig::test(app, 2);
-        let mut sys_cfg = config.system_config();
-        sys_cfg.network.topology = kind;
-        sys_cfg.network.link_contention = true;
-        sys_cfg.fault = FaultPlan::mixed(0xFAB2, 0.02);
-        let (ckpts, golden) = capture_with_checkpoints_cfg(config, sys_cfg, &[1, 3]);
+        let mut machine =
+            Machine::default_for(config).with_faults(FaultPlan::mixed(0xFAB2, 0.02));
+        machine.system.network.topology = kind;
+        machine.system.network.link_contention = true;
+        let (ckpts, golden) = capture_with_checkpoints(&machine, &[1, 3], 0);
         assert_eq!(ckpts.len(), 2, "{}/{}: missing checkpoints", config.label(), kind.name());
         for (b, bytes) in &ckpts {
-            let resumed = resume_to_end(bytes);
+            let resumed = resume_to_end(&Checkpoint::decode(bytes).expect("checkpoint decodes"));
             assert_eq!(
                 resumed.stats,
                 golden.stats,
@@ -117,12 +116,12 @@ fn roundtrip_sharded_core_resumes_bit_exactly() {
     for (app, shards) in [(App::Lu, 2), (App::Ocean, 4), (App::Art, 16)] {
         let config = ExperimentConfig::test(app, 16);
         let plan = FaultPlan::mixed(0x5AD7_C497, 0.02);
+        let machine = Machine::default_for(config).with_faults(plan);
         let serial_golden = {
-            let (_, golden) = capture_with_checkpoints(config, plan, &[1]);
+            let (_, golden) = capture_with_checkpoints(&machine, &[1], 0);
             golden
         };
-        let (ckpts, sharded_golden) =
-            capture_with_checkpoints_sharded(config, plan, &[1], shards);
+        let (ckpts, sharded_golden) = capture_with_checkpoints(&machine, &[1], shards);
         assert_eq!(
             sharded_golden.stats, serial_golden.stats,
             "{app:?}: sharded capture pass diverged from serial at {shards} shards"
@@ -134,7 +133,7 @@ fn roundtrip_sharded_core_resumes_bit_exactly() {
                 ck.meta.shards, shards,
                 "{app:?}: DSMCKPT3 metadata lost the shard count"
             );
-            let resumed = resume_to_end(bytes);
+            let resumed = resume_to_end(&ck);
             assert_eq!(
                 resumed.stats, serial_golden.stats,
                 "{app:?}: stats diverged resuming sharded checkpoint at interval {b}"

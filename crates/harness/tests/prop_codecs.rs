@@ -21,7 +21,7 @@ use proptest::prelude::*;
 
 use dsm_adapt::{AdaptSnap, Decision, DecisionKind, ObservedInterval, PhaseSnap, PhaseStateSnap};
 use dsm_harness::experiment::ExperimentConfig;
-use dsm_harness::parallel::fnv1a64;
+use dsm_harness::parallel::{fnv1a64, Machine};
 use dsm_harness::simpoint::capture_checkpoint_every;
 use dsm_harness::trace::{self, SystemTrace, TRACE_MAGIC};
 use dsm_phase::ddv::{DdvSnap, FrequencySnap};
@@ -648,7 +648,7 @@ fn inconsistent_trace_records_are_bad_values() {
 #[test]
 fn captured_checkpoint_with_another_geometry_is_a_bad_value() {
     let lu = ExperimentConfig::test(App::Lu, 2);
-    let (ckpts, _) = capture_checkpoint_every(lu, FaultPlan::none(), 4);
+    let (ckpts, _) = capture_checkpoint_every(&Machine::default_for(lu), 4);
     let ck = Checkpoint::decode(&ckpts[0].1).unwrap();
     let default = DetectorGeometry::default();
     for geometry in [

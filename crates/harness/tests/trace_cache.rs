@@ -21,9 +21,7 @@ use dsm_harness::sensitivity::{
     bank_sweep, geometry_sweep, interval_sweep, network_model_sweep, placement_sweep,
     SensitivityPoint,
 };
-use dsm_harness::trace::{
-    capture, capture_cached, capture_lanes, capture_with, clear_memory_cache,
-};
+use dsm_harness::trace::{capture, capture_cached, clear_memory_cache};
 use dsm_phase::detector::DetectorGeometry;
 use dsm_sim::config::DistributionPolicy;
 use dsm_sim::topology::TopologyKind;
@@ -137,10 +135,11 @@ fn multi_lane_capture_equals_separate_captures() {
         torus.network.topology = TopologyKind::Torus2D;
         torus.network.link_contention = true;
         for sys_cfg in [config.system_config(), torus] {
-            let lanes = capture_lanes(config, sys_cfg.clone(), &geometries);
+            let machine = Machine { system: sys_cfg.clone(), ..Machine::default_for(config) };
+            let lanes = machine.capture_lanes(&geometries);
             assert_eq!(lanes.len(), geometries.len());
             for (lane, &g) in lanes.iter().zip(&geometries) {
-                let alone = capture_with(config, sys_cfg.clone(), g);
+                let alone = Machine { geometry: g, ..machine.clone() }.capture();
                 assert!(alone.min_intervals() > 0, "{app:?}: no intervals");
                 assert!(
                     *lane == alone,

@@ -236,7 +236,7 @@ impl Network {
     }
 
     /// One-way latency of a message injected at absolute cycle `now`,
-    /// following the deterministic route hop by hop (see [`Network::transmit`]'s
+    /// following the deterministic route hop by hop (see `Network::transmit`'s
     /// contention model). Without [`NetworkConfig::link_contention`] this
     /// reduces exactly to [`Network::send`].
     pub fn send_at(&mut self, a: usize, b: usize, payload: bool, now: u64) -> u64 {

@@ -217,15 +217,6 @@ impl<S: InstructionStream, O: SimObserver> System<S, O> {
         &self.observer
     }
 
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
-    }
-
-    /// The DDV distance matrix for this system's topology.
-    pub fn distance_matrix(&self) -> Vec<f64> {
-        self.net.distance_matrix()
-    }
-
     /// Run to completion of all processor streams; returns final statistics.
     ///
     /// Uses the batched event loop: runs of pure compute events

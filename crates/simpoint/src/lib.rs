@@ -14,7 +14,7 @@
 //!   boundary, with the metadata needed to rebuild the machine and
 //!   fast-forward a fresh instruction stream to the same position. Decoding
 //!   is total — corrupt input yields a typed error, never a panic.
-//! * [`select`] — per-interval BBV ⊕ data-distribution signatures from a
+//! * [`select`](mod@select) — per-interval BBV ⊕ data-distribution signatures from a
 //!   profiling pass, clustered by deterministic k-means (k-means++ seeding,
 //!   Manhattan distance) with a BIC-style `k` sweep; each cluster's
 //!   centroid-nearest member becomes a representative interval with its

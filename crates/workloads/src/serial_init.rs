@@ -48,11 +48,6 @@ impl<W: Workload> SerialInit<W> {
         let n = inner.n_procs();
         Self { inner, pages, init_emitted: false, released: vec![false; n] }
     }
-
-    /// Number of distinct pages the prologue touches.
-    pub fn n_pages(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 /// One block-aligned representative address per page covered by `regions`,

@@ -21,17 +21,14 @@ use dsm_adapt::{
     NoopActuator,
 };
 use dsm_phase_detection::harness::adaptive::{run_tuning_stream, TuningInterval, TuningPolicy};
+use dsm_phase_detection::harness::parallel::{AppSystem, Machine};
 use dsm_phase_detection::harness::trace::capture_with_faults;
 use dsm_phase_detection::phase::detector::AvailabilityModel;
 use dsm_phase_detection::phase::detector::DetectorGeometry as Geometry;
 use dsm_phase_detection::prelude::*;
 use dsm_phase_detection::sim::config::{DistributionPolicy, FaultPlan};
-use dsm_phase_detection::sim::event::{ChunkedStream, InstructionStream};
-use dsm_phase_detection::sim::network::Network;
-use dsm_phase_detection::workloads::Workload;
+use dsm_phase_detection::sim::event::InstructionStream;
 use dsm_simpoint::{Checkpoint, CheckpointMeta};
-
-type AppSystem = System<ChunkedStream<Box<dyn Workload>>, TraceCollector>;
 
 /// Same machine construction as a plain capture (`harness::trace`).
 fn build_system(config: ExperimentConfig, dist: Option<DistributionPolicy>) -> AppSystem {
@@ -43,10 +40,7 @@ fn build_system(config: ExperimentConfig, dist: Option<DistributionPolicy>) -> A
 }
 
 fn build_system_cfg(config: ExperimentConfig, sys_cfg: SystemConfig) -> AppSystem {
-    let stream = make_stream(config.app, config.n_procs, config.scale);
-    let dmat = Network::new(sys_cfg.network, config.n_procs).distance_matrix();
-    let collector = TraceCollector::new(config.n_procs, dmat, Geometry::default());
-    System::new(sys_cfg, stream, collector)
+    Machine { system: sys_cfg, ..Machine::default_for(config) }.build()
 }
 
 #[test]
@@ -247,16 +241,16 @@ fn dsmckpt4_mid_tuning_checkpoint_resumes_bit_exactly() {
     // Rebuild the machine exactly as `harness::simpoint` resume does:
     // fresh stream fast-forwarded by the fetched counts, collector and
     // system state restored from the checkpoint.
-    let mut stream = make_stream(app, n, cfg.scale);
+    let machine = Machine { system: sys_cfg, ..Machine::default_for(cfg) };
+    let mut stream = machine.stream();
     for (p, &fetched) in decoded.system.fetched.iter().enumerate() {
         for _ in 0..fetched {
             let _ = stream.next(p);
         }
     }
-    let dmat = Network::new(sys_cfg.network, n).distance_matrix();
-    let mut collector = TraceCollector::new(n, dmat, Geometry::default());
+    let mut collector = machine.collector();
     collector.import_state(&decoded.collector);
-    let mut sys = System::new(sys_cfg, stream, collector);
+    let mut sys = machine.assemble(stream, collector);
     sys.restore_state(&decoded.system);
 
     let resumed = AdaptSession::resume(
