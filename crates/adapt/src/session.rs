@@ -37,7 +37,6 @@ use dsm_phase::IntervalRecord;
 use dsm_sim::stats::SystemStats;
 use dsm_sim::system::System;
 use dsm_sim::InstructionStream;
-use dsm_telemetry::MetricsRegistry;
 
 use crate::actuator::Actuator;
 use crate::protocol::{Decision, DecisionKind, PhaseSnap, Protocol, TuningPolicy};
@@ -121,17 +120,6 @@ impl AdaptOutcome {
     /// Intervals skipped because classification was degraded.
     pub fn degraded_intervals(&self) -> usize {
         self.stream.iter().filter(|o| o.degraded).count()
-    }
-
-    /// Mirror the session counters into a metrics registry under `adapt/`.
-    pub fn publish(&self, reg: &mut MetricsRegistry) {
-        reg.counter_add("adapt/intervals", self.stream.len() as u64);
-        reg.counter_add("adapt/tuning_intervals", self.tuning_intervals() as u64);
-        reg.counter_add("adapt/degraded_intervals", self.degraded_intervals() as u64);
-        reg.counter_add("adapt/retunes", self.retunes);
-        reg.counter_add("adapt/locked_phases", self.locked_phases as u64);
-        reg.gauge_set("adapt/finish_cycle", self.stats.finish_cycle as f64);
-        self.stats.reconfig.publish("adapt", reg);
     }
 }
 

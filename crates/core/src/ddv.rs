@@ -201,15 +201,6 @@ impl GatherTopology {
             }
         }
     }
-
-    /// Messages the requester itself must sink during one gather.
-    pub fn root_fan_in(self, n: usize) -> usize {
-        match self {
-            _ if n <= 1 => 0,
-            GatherTopology::Star => n - 1,
-            GatherTopology::Tree { arity } => arity.min(n - 1),
-        }
-    }
 }
 
 /// System-wide DDV state: one frequency matrix per node plus the
@@ -254,22 +245,6 @@ impl DdvState {
         }
     }
 
-    /// Convenience: build with the hypercube distance matrix `1 + hops`.
-    pub fn for_hypercube(n: usize) -> Self {
-        assert!(n.is_power_of_two());
-        let mut dist = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                dist[i * n + j] = if i == j {
-                    1.0
-                } else {
-                    1.0 + ((i ^ j) as u64).count_ones() as f64
-                };
-            }
-        }
-        Self::new(n, dist)
-    }
-
     pub fn n(&self) -> usize {
         self.n
     }
@@ -284,17 +259,11 @@ impl DdvState {
     /// Coordinator half of [`Self::record_access`]: bump only the global
     /// cumulative vector. The sharded collector calls this on the serial
     /// side and defers the per-node `mats[p]` bump to the owning shard
-    /// worker ([`FrequencyMatrix::record`] via [`Self::mats_mut`]).
+    /// worker ([`FrequencyMatrix::record`] on the matrices the drain takes
+    /// from `mats_and_dist`).
     #[inline]
     pub fn record_home_global(&mut self, home: usize) {
         self.gcum[home] += 1;
-    }
-
-    /// The per-node matrices, for shard workers that update disjoint
-    /// processors in parallel. Combined with [`Self::record_home_global`]
-    /// this reproduces [`Self::record_access`] exactly.
-    pub fn mats_mut(&mut self) -> &mut [FrequencyMatrix] {
-        &mut self.mats
     }
 
     /// Processor `i` ends an interval: gather all `F_i` rows (zeroing them),
@@ -467,86 +436,6 @@ impl DdvState {
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical fan-in reduction
-// ---------------------------------------------------------------------------
-
-/// A deterministic fan-in reduction tree over `n` ranks rooted at rank 0.
-///
-/// Rank `r`'s parent is `(r - 1) / arity` — the heap shape — so the tree is
-/// fully determined by `(n, arity)` and every combine is a plain u64 vector
-/// add. Used two ways: as the simulated shape behind
-/// [`GatherTopology::Tree`] (cost accounting), and as the actual combine
-/// order of the sharded collector's drain, where per-shard partial rows
-/// fan into the requester instead of `n - 1` separate messages. Because
-/// u64 addition is commutative and associative, the tree-combined result
-/// is bit-identical to the star gather — pinned by tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReductionTree {
-    n: usize,
-    arity: usize,
-}
-
-impl ReductionTree {
-    pub fn new(n: usize, arity: usize) -> Self {
-        assert!(n > 0, "reduction over zero ranks");
-        assert!(arity >= 2, "reduction tree needs arity >= 2");
-        Self { n, arity }
-    }
-
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Parent rank of `r` (`None` for the root).
-    pub fn parent(&self, r: usize) -> Option<usize> {
-        debug_assert!(r < self.n);
-        if r == 0 {
-            None
-        } else {
-            Some((r - 1) / self.arity)
-        }
-    }
-
-    /// Depth of rank `r` below the root (root = 0): the number of combine
-    /// rounds `r`'s contribution traverses.
-    pub fn depth_of(&self, r: usize) -> u32 {
-        let mut d = 0;
-        let mut cur = r;
-        while let Some(p) = self.parent(cur) {
-            cur = p;
-            d += 1;
-        }
-        d
-    }
-
-    /// Critical-path rounds: the maximum leaf depth.
-    pub fn depth(&self) -> u32 {
-        (0..self.n).map(|r| self.depth_of(r)).max().unwrap_or(0)
-    }
-
-    /// Combine one vector per rank bottom-up along the tree and return the
-    /// root's total. Each rank folds its children's partials into its own
-    /// vector before forwarding — exactly `n - 1` vector messages, like the
-    /// star, but with O(log n) critical path and root fan-in ≤ arity.
-    pub fn reduce(&self, rows: &[Vec<u64>]) -> Vec<u64> {
-        assert_eq!(rows.len(), self.n, "one row per rank");
-        let width = rows.first().map_or(0, |r| r.len());
-        let mut partial: Vec<Vec<u64>> = rows.to_vec();
-        // Children have strictly larger rank indices than their parents, so
-        // a single reverse sweep folds bottom-up.
-        for r in (1..self.n).rev() {
-            assert_eq!(partial[r].len(), width, "ragged reduction rows");
-            let p = self.parent(r).expect("non-root has a parent");
-            let (head, tail) = partial.split_at_mut(r);
-            for (dst, &v) in head[p].iter_mut().zip(tail[0].iter()) {
-                *dst += v;
-            }
-        }
-        partial.swap_remove(0)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Deadline-degraded row collection
 // ---------------------------------------------------------------------------
 
@@ -676,6 +565,90 @@ impl DegradedCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_sim::config::SystemConfig;
+    use dsm_sim::network::Network;
+
+    /// DDV state over the paper's `n`-node hypercube (`1 + hops` distances).
+    fn hypercube(n: usize) -> DdvState {
+        DdvState::new(n, Network::new(SystemConfig::paper(n).network, n).distance_matrix())
+    }
+
+    /// Messages the requester itself must sink during one gather.
+    fn root_fan_in(t: GatherTopology, n: usize) -> usize {
+        match t {
+            _ if n <= 1 => 0,
+            GatherTopology::Star => n - 1,
+            GatherTopology::Tree { arity } => arity.min(n - 1),
+        }
+    }
+
+    /// A deterministic fan-in reduction tree over `n` ranks rooted at rank 0:
+    /// the concrete shape that [`GatherTopology::Tree`]'s round accounting
+    /// models. Rank `r`'s parent is `(r - 1) / arity` (the heap shape), and
+    /// every combine is a plain u64 vector add, so the tree-combined result
+    /// is bit-identical to the star gather.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct ReductionTree {
+        n: usize,
+        arity: usize,
+    }
+
+    impl ReductionTree {
+        fn new(n: usize, arity: usize) -> Self {
+            assert!(n > 0, "reduction over zero ranks");
+            assert!(arity >= 2, "reduction tree needs arity >= 2");
+            Self { n, arity }
+        }
+
+        /// Parent rank of `r` (`None` for the root).
+        fn parent(&self, r: usize) -> Option<usize> {
+            debug_assert!(r < self.n);
+            if r == 0 {
+                None
+            } else {
+                Some((r - 1) / self.arity)
+            }
+        }
+
+        /// Depth of rank `r` below the root (root = 0): the number of combine
+        /// rounds `r`'s contribution traverses.
+        fn depth_of(&self, r: usize) -> u32 {
+            let mut d = 0;
+            let mut cur = r;
+            while let Some(p) = self.parent(cur) {
+                cur = p;
+                d += 1;
+            }
+            d
+        }
+
+        /// Critical-path rounds: the maximum leaf depth.
+        fn depth(&self) -> u32 {
+            (0..self.n).map(|r| self.depth_of(r)).max().unwrap_or(0)
+        }
+
+        /// Combine one vector per rank bottom-up along the tree and return the
+        /// root's total. Each rank folds its children's partials into its own
+        /// vector before forwarding — exactly `n - 1` vector messages, like the
+        /// star, but with O(log n) critical path and root fan-in ≤ arity.
+        fn reduce(&self, rows: &[Vec<u64>]) -> Vec<u64> {
+            assert_eq!(rows.len(), self.n, "one row per rank");
+            let width = rows.first().map_or(0, |r| r.len());
+            let mut partial: Vec<Vec<u64>> = rows.to_vec();
+            // Children have strictly larger rank indices than their parents, so
+            // a single reverse sweep folds bottom-up.
+            for r in (1..self.n).rev() {
+                assert_eq!(partial[r].len(), width, "ragged reduction rows");
+                let p = self.parent(r).expect("non-root has a parent");
+                let (head, tail) = partial.split_at_mut(r);
+                for (dst, &v) in head[p].iter_mut().zip(tail[0].iter()) {
+                    *dst += v;
+                }
+            }
+            partial.swap_remove(0)
+        }
+    }
+
 
     #[test]
     fn query_returns_accesses_since_last_query() {
@@ -712,7 +685,7 @@ mod tests {
 
     #[test]
     fn end_interval_gathers_all_nodes() {
-        let mut d = DdvState::for_hypercube(2);
+        let mut d = hypercube(2);
         // P0 makes 3 local accesses; P1 makes 2 accesses to home 0.
         d.record_access(0, 0);
         d.record_access(0, 0);
@@ -731,7 +704,7 @@ mod tests {
 
     #[test]
     fn remote_accesses_weighted_by_distance() {
-        let mut d = DdvState::for_hypercube(4);
+        let mut d = hypercube(4);
         // P0 accesses home 3 (2 hops away: dist = 3.0) five times.
         for _ in 0..5 {
             d.record_access(0, 3);
@@ -744,7 +717,7 @@ mod tests {
     #[test]
     fn contention_from_other_nodes_raises_dds() {
         let run = |others: u64| {
-            let mut d = DdvState::for_hypercube(4);
+            let mut d = hypercube(4);
             for _ in 0..10 {
                 d.record_access(0, 1);
             }
@@ -758,8 +731,8 @@ mod tests {
 
     #[test]
     fn end_interval_into_reuses_buffers_and_matches_allocating_form() {
-        let mut a = DdvState::for_hypercube(4);
-        let mut b = DdvState::for_hypercube(4);
+        let mut a = hypercube(4);
+        let mut b = hypercube(4);
         let mut sample = DdsSample::empty();
         let mut x = 1u64;
         for step in 0..400 {
@@ -780,7 +753,7 @@ mod tests {
 
     #[test]
     fn queries_counted_for_overhead_model() {
-        let mut d = DdvState::for_hypercube(8);
+        let mut d = hypercube(8);
         d.end_interval(0);
         d.end_interval(3);
         assert_eq!(d.queries(), 2);
@@ -789,7 +762,7 @@ mod tests {
 
     #[test]
     fn uniprocessor_degenerates_to_self_product() {
-        let mut d = DdvState::for_hypercube(1);
+        let mut d = hypercube(1);
         for _ in 0..4 {
             d.record_access(0, 0);
         }
@@ -805,7 +778,7 @@ mod tests {
 
     #[test]
     fn clear_resets_counts() {
-        let mut d = DdvState::for_hypercube(2);
+        let mut d = hypercube(2);
         d.record_access(0, 1);
         d.clear();
         let s = d.end_interval(0);
@@ -815,8 +788,8 @@ mod tests {
 
     #[test]
     fn degraded_collector_with_all_rows_matches_reference_gather() {
-        let mut a = DdvState::for_hypercube(4);
-        let mut b = DdvState::for_hypercube(4);
+        let mut a = hypercube(4);
+        let mut b = hypercube(4);
         let mut coll = DegradedCollector::new(4);
         let mut sample = DdsSample::empty();
         let mut x = 11u64;
@@ -840,7 +813,7 @@ mod tests {
 
     #[test]
     fn missing_row_falls_back_to_stale_weighted_cache() {
-        let mut d = DdvState::for_hypercube(2);
+        let mut d = hypercube(2);
         let mut coll = DegradedCollector::new(2);
         let mut sample = DdsSample::empty();
         // Gather 1: node 1 answers with 8 accesses to home 0.
@@ -863,7 +836,7 @@ mod tests {
 
     #[test]
     fn silent_node_counts_are_recovered_on_reappearance() {
-        let mut d = DdvState::for_hypercube(2);
+        let mut d = hypercube(2);
         let mut coll = DegradedCollector::new(2);
         let mut sample = DdsSample::empty();
         for _ in 0..4 {
@@ -918,7 +891,7 @@ mod tests {
 
     #[test]
     fn aggregate_survives_export_import_roundtrip() {
-        let mut d = DdvState::for_hypercube(4);
+        let mut d = hypercube(4);
         let mut s = DdsSample::empty();
         let mut x = 3u64;
         for step in 0..200 {
@@ -929,7 +902,7 @@ mod tests {
             }
         }
         let snap = d.export_state();
-        let mut restored = DdvState::for_hypercube(4);
+        let mut restored = hypercube(4);
         restored.import_state(&snap);
         assert_eq!(d, restored);
         // Identical traffic after restore produces identical samples.
@@ -987,14 +960,14 @@ mod tests {
                 );
             }
         }
-        assert_eq!(GatherTopology::Star.root_fan_in(64), 63);
-        assert_eq!(GatherTopology::Tree { arity: 4 }.root_fan_in(64), 4);
+        assert_eq!(root_fan_in(GatherTopology::Star, 64), 63);
+        assert_eq!(root_fan_in(GatherTopology::Tree { arity: 4 }, 64), 4);
     }
 
     #[test]
     fn tree_topology_changes_rounds_but_not_values() {
-        let mut star = DdvState::for_hypercube(8);
-        let mut tree = DdvState::for_hypercube(8);
+        let mut star = hypercube(8);
+        let mut tree = hypercube(8);
         tree.set_collection_topology(GatherTopology::Tree { arity: 2 });
         let mut ss = DdsSample::empty();
         let mut ts = DdsSample::empty();
@@ -1018,7 +991,7 @@ mod tests {
 
     #[test]
     fn reset_requester_clears_staleness_and_cache() {
-        let mut d = DdvState::for_hypercube(2);
+        let mut d = hypercube(2);
         let mut coll = DegradedCollector::new(2);
         let mut sample = DdsSample::empty();
         for _ in 0..8 {

@@ -18,12 +18,12 @@
 use serde::{Deserialize, Serialize};
 
 use dsm_sim::observer::{IntervalStats, SimObserver};
+use dsm_telemetry::MetricsRegistry;
 
 use crate::bbv::BbvAccumulator;
 use crate::ddv::{DdsSample, DdvSnap, DdvState};
 use crate::footprint::FootprintTable;
 use crate::signature::{ClassifierBank, Gather};
-use crate::telem::{DetectorProbes, DetectorTelemetry, MetricsRegistry, Snapshot};
 use crate::working_set::WsSignature;
 use crate::{DEFAULT_BBV_ENTRIES, DEFAULT_FOOTPRINT_VECTORS};
 
@@ -271,22 +271,13 @@ impl TraceCollector {
 
     /// A collector with one lane per entry of `geometries` (at least one).
     pub fn with_lanes(n_procs: usize, dist: Vec<f64>, geometries: &[DetectorGeometry]) -> Self {
-        Self::with_ddv(DdvState::new(n_procs, dist), geometries)
-    }
-
-    /// Hypercube convenience constructor (one lane).
-    pub fn for_hypercube(n_procs: usize, geometry: DetectorGeometry) -> Self {
-        Self::with_ddv(DdvState::for_hypercube(n_procs), &[geometry])
-    }
-
-    fn with_ddv(ddv: DdvState, geometries: &[DetectorGeometry]) -> Self {
         assert!(!geometries.is_empty(), "a collector needs at least one geometry");
-        let lanes = (0..ddv.n())
+        let lanes = (0..n_procs)
             .flat_map(|_| geometries.iter().map(|&g| ProcLane::new(g)))
             .collect();
         Self {
             lanes,
-            ddv,
+            ddv: DdvState::new(n_procs, dist),
             geometries: geometries.to_vec(),
             reference_gather: false,
         }
@@ -449,12 +440,6 @@ pub struct OnlineDetector {
     bank: ClassifierBank,
     /// Classified intervals, per processor, in order.
     pub classified: Vec<Vec<ClassifiedInterval>>,
-    /// Telemetry recorder (no-op stub unless the `telemetry` feature is on).
-    telem: DetectorTelemetry,
-    probes: DetectorProbes,
-    /// Cumulative interval cycles per processor — the timestamp base for
-    /// classification spans (one plain add per *interval*, not per event).
-    cum_cycles: Vec<u64>,
 }
 
 impl OnlineDetector {
@@ -480,15 +465,10 @@ impl OnlineDetector {
         geometry: DetectorGeometry,
         model: AvailabilityModel,
     ) -> Self {
-        let mut telem = DetectorTelemetry::new(n_procs);
-        let probes = DetectorProbes::register(&mut telem, n_procs);
         Self {
             gather: Gather::new(n_procs, dist, geometry, model),
             bank: ClassifierBank::new(n_procs, mode, thresholds, geometry.footprint_vectors),
             classified: vec![Vec::new(); n_procs],
-            telem,
-            probes,
-            cum_cycles: vec![0; n_procs],
         }
     }
 
@@ -528,17 +508,10 @@ impl OnlineDetector {
         self.classified[proc].last().map(|c| c.phase_id)
     }
 
-    /// Telemetry recorded so far (empty unless the `telemetry` feature is
-    /// on): per-processor `classify` span tracks and outcome counters.
-    pub fn telemetry_snapshot(&self) -> Snapshot {
-        self.telem.snapshot()
-    }
-
-    /// Mirror the detector's outcome statistics into a metrics registry
-    /// under the `detector/` namespace. Always available (independent of
-    /// the `telemetry` feature): the counts are recomputed from
-    /// [`OnlineDetector::classified`], so harness-level reporting can fold
-    /// any detector run into a registry, degraded intervals included.
+    /// Publish the detector's outcome statistics into a metrics registry
+    /// under the `detector/` namespace. This is the detector's only metrics
+    /// path: every count is derived from [`OnlineDetector::classified`] and
+    /// the gather's own counters at call time, degraded intervals included.
     pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
         let mut intervals = 0u64;
         let mut new_phases = 0u64;
@@ -579,18 +552,6 @@ impl SimObserver for OnlineDetector {
     fn on_interval(&mut self, proc: usize, stats: IntervalStats) {
         let (bbv, dds, degraded) = self.gather.end_interval(proc, stats);
         let c = self.bank.classify_raw(proc, stats.index, stats.cpi(), bbv, dds, degraded);
-        // Classification span on the processor's cumulative interval clock
-        // (covers the interval just classified), plus outcome counters.
-        let start = self.cum_cycles[proc];
-        self.cum_cycles[proc] += stats.cycles;
-        self.telem.span(proc, self.probes.classify, start, stats.cycles);
-        self.telem.add(self.probes.intervals, 1);
-        if c.is_new_phase {
-            self.telem.add(self.probes.new_phases, 1);
-        }
-        if degraded {
-            self.telem.add(self.probes.degraded, 1);
-        }
         self.classified[proc].push(c);
     }
 }
@@ -616,7 +577,7 @@ mod tests {
 
     #[test]
     fn collector_records_features_and_resets() {
-        let mut c = TraceCollector::for_hypercube(2, DetectorGeometry::default());
+        let mut c = TraceCollector::new(2, vec![1.0, 2.0, 2.0, 1.0], DetectorGeometry::default());
         drive(&mut c, 0, 7, &[0, 0, 1], 0);
         drive(&mut c, 0, 9, &[1, 1, 1], 1);
         assert_eq!(c.records(0).len(), 2);
@@ -635,7 +596,7 @@ mod tests {
 
     #[test]
     fn collector_contention_window_spans_other_procs() {
-        let mut c = TraceCollector::for_hypercube(2, DetectorGeometry::default());
+        let mut c = TraceCollector::new(2, vec![1.0, 2.0, 2.0, 1.0], DetectorGeometry::default());
         // P1 hammers home 0 before P0's interval closes.
         for _ in 0..5 {
             c.on_mem_commit(1, 0, 0, false);
@@ -747,22 +708,5 @@ mod tests {
         assert_eq!(reg.counter_value("detector/degraded_intervals"), Some(0));
         assert_eq!(reg.counter_value("detector/rows_substituted"), Some(0));
         assert_eq!(reg.counter_value("detector/ddv/queries"), Some(3));
-
-        let snap = d.telemetry_snapshot();
-        if cfg!(feature = "telemetry") {
-            assert!(snap.enabled);
-            assert_eq!(snap.tracks.len(), 1);
-            assert_eq!(snap.tracks[0].spans.len(), 3, "one classify span per interval");
-            // The registry's live counters agree with the recomputed ones.
-            let live = snap
-                .metrics
-                .iter()
-                .find(|m| m.name == "detector/new_phases")
-                .expect("live counter");
-            assert_eq!(live.value, dsm_telemetry::MetricValue::Counter(2));
-        } else {
-            assert!(!snap.enabled);
-            assert!(snap.tracks.is_empty());
-        }
     }
 }

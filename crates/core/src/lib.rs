@@ -54,7 +54,6 @@ pub mod replay;
 pub mod shard_collector;
 pub mod signature;
 pub mod stream;
-pub mod telem;
 pub mod working_set;
 
 pub use bbv::BbvAccumulator;

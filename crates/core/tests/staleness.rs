@@ -7,18 +7,15 @@ use dsm_phase::ddv::{DdsSample, DdvState, DegradedCollector};
 use dsm_phase::detector::{
     AvailabilityModel, DetectorGeometry, DetectorMode, OnlineDetector, Thresholds,
 };
+use dsm_sim::config::SystemConfig;
+use dsm_sim::network::Network;
 use dsm_sim::observer::{IntervalStats, SimObserver};
 
 const THRESH: Thresholds = Thresholds { bbv: 0.1, dds: 0.1 };
 
-/// Full n×n hypercube distance matrix, flattened row-major.
+/// Full n×n distance matrix of the paper's hypercube, flattened row-major.
 fn full_dist(n: usize) -> Vec<f64> {
-    let d = DdvState::for_hypercube(n);
-    let mut out = Vec::with_capacity(n * n);
-    for i in 0..n {
-        out.extend_from_slice(d.dist_row(i));
-    }
-    out
+    Network::new(SystemConfig::paper(n).network, n).distance_matrix()
 }
 
 fn record_pattern(ddv: &mut DdvState, n: usize, round: usize) {
@@ -35,8 +32,8 @@ fn record_pattern(ddv: &mut DdvState, n: usize, round: usize) {
 #[test]
 fn full_row_arrival_matches_paper_formula_exactly() {
     let n = 4;
-    let mut reference = DdvState::for_hypercube(n);
-    let mut degraded = DdvState::for_hypercube(n);
+    let mut reference = DdvState::new(n, full_dist(n));
+    let mut degraded = DdvState::new(n, full_dist(n));
     let mut coll = DegradedCollector::new(n);
     let mut ref_sample = DdsSample::empty();
     let mut deg_sample = DdsSample::empty();

@@ -13,6 +13,7 @@ use dsm_workloads::{App, Scale};
 const USAGE: &str = "ablation [--scale test|scaled|paper] [--jobs N] [--cold] [--no-cache]";
 
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
     let jobs = parallel::init_from_args(USAGE);
     eprintln!("ablation: running with {jobs} worker(s)");

@@ -16,6 +16,7 @@ use dsm_workloads::App;
 const USAGE: &str = "adapt [n_procs] [--smoke]";
 
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let smoke = std::env::args().any(|a| a == "--smoke");
     let n_procs = report::power_of_two_or_exit(report::positional_or_exit(&[], 16, USAGE), USAGE);
 

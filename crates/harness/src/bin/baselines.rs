@@ -14,6 +14,7 @@ const USAGE: &str =
     "baselines [--scale test|scaled|paper] [--procs N] [--jobs N] [--cold] [--no-cache]";
 
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
     let n_procs = report::power_of_two_or_exit(report::flag_or_exit("--procs", 32, USAGE), USAGE);
     let jobs = parallel::init_from_args(USAGE);

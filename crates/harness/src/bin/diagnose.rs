@@ -11,7 +11,10 @@
 use dsm_harness::diagnose::{full_report, reports_json, reports_text, smoke_report};
 use dsm_harness::report;
 
+const USAGE: &str = "diagnose [--smoke]";
+
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
     let reports = if smoke { smoke_report() } else { full_report() };
 

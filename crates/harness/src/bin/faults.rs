@@ -76,6 +76,7 @@ fn checkpoint_mode(every: u64, seed: u64) {
 }
 
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let seed: u64 = report::positional_or_exit(
         &["--telemetry-out", "--checkpoint-every", "--resume"],
         42,

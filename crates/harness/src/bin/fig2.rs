@@ -18,6 +18,7 @@ const USAGE: &str =
     "fig2 [--scale test|scaled|paper] [--jobs N] [--cold] [--no-cache] [--telemetry-out <dir>]";
 
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
     let telemetry_out: Option<PathBuf> = report::opt_flag_or_exit("--telemetry-out", USAGE);
     let jobs = parallel::init_from_args(USAGE);

@@ -8,7 +8,10 @@ use dsm_harness::report;
 use dsm_harness::trace::capture_cached;
 use dsm_workloads::App;
 
+const USAGE: &str = "overhead";
+
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let mut out = OverheadModel::paper().report();
     out.push('\n');
 

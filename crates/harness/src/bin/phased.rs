@@ -25,6 +25,7 @@ const USAGE: &str = "phased [--smoke] [--tenants N] [--concurrent N] [--trace-te
                      [--intervals N] [--churn-every N] [--seed S] [--jobs N]";
 
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let jobs = parallel::jobs_from_args(USAGE);
     let smoke = std::env::args().any(|a| a == "--smoke");
     let tenants: usize = report::flag_or_exit("--tenants", 1024, USAGE);

@@ -15,6 +15,7 @@ use dsm_workloads::{App, Scale};
 const USAGE: &str = "prediction [--scale test|scaled|paper]";
 
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
     let mut out =
         String::from("Phase prediction accuracy (mean over processors; higher is better)\n\n");

@@ -42,6 +42,7 @@ fn render(points: &[ScalePoint]) -> String {
 const USAGE: &str = "scale [--samples N] [--app NAME] [--jobs N]";
 
 fn main() {
+    report::known_flags_or_exit(USAGE);
     parallel::jobs_from_args(USAGE);
     let samples: usize = report::flag_or_exit("--samples", 3, USAGE);
     let app = report::flag_or_exit("--app", App::Ocean, USAGE);

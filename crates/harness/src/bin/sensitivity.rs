@@ -54,6 +54,7 @@ fn render(title: &str, pts: &[SensitivityPoint], out: &mut String, rows: &mut Ve
 }
 
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let scale = report::flag_or_exit("--scale", Scale::Scaled, USAGE);
     let jobs = parallel::init_from_args(USAGE);
     eprintln!("sensitivity: running with {jobs} worker(s)");

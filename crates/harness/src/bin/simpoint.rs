@@ -35,6 +35,7 @@ fn row(r: &SimpointResult) -> String {
 }
 
 fn main() {
+    report::known_flags_or_exit(USAGE);
     parallel::jobs_from_args(USAGE);
     let ci = std::env::args().any(|a| a == "--ci");
 

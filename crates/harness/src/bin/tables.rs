@@ -4,7 +4,10 @@
 use dsm_harness::report;
 use dsm_harness::tables::{table1, table2};
 
+const USAGE: &str = "tables";
+
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let out = format!("{}\n{}", table1().render(), table2().render());
     println!("{out}");
     report::announce(&report::write_text("tables.txt", &out).expect("write"));

@@ -41,6 +41,7 @@ fn smoke_mode(kind: TopologyKind) {
 }
 
 fn main() {
+    report::known_flags_or_exit(USAGE);
     let smoke: Option<String> = report::opt_flag_or_exit("--smoke", USAGE);
     let n_procs =
         report::power_of_two_or_exit(report::positional_or_exit(&["--smoke"], 8, USAGE), USAGE);

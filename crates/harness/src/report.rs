@@ -45,6 +45,24 @@ pub fn announce(path: &Path) {
     println!("wrote {}", path.display());
 }
 
+/// Exit with status 2 and `usage` when an argument starting with `-` names
+/// no flag that `usage` lists (`-j` counts as `--jobs`). Every binary calls
+/// this first, so a mistyped flag is an error rather than a run with
+/// defaults.
+pub fn known_flags_or_exit(usage: &str) {
+    let known: Vec<&str> = usage
+        .split_whitespace()
+        .map(|w| w.trim_matches(|c| c == '[' || c == ']'))
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    for a in std::env::args().skip(1) {
+        let flag = if a == "-j" { "--jobs" } else { a.as_str() };
+        if flag.starts_with('-') && !known.contains(&flag) {
+            usage_exit(&format!("unknown flag {a}"), usage);
+        }
+    }
+}
+
 /// The command-line value after `flag` parsed as `T`, or `default` when the
 /// flag is absent. A missing or unparsable value prints the error and
 /// `usage` to stderr and exits with status 2.

@@ -1,9 +1,10 @@
 //! Harness-side telemetry: instrumented captures and artifact export.
 //!
-//! The simulator and the detector record into their own
-//! [`dsm_telemetry`] facades (real when the `telemetry` feature is on,
-//! zero-sized stubs otherwise); this module is the always-compiled layer
-//! that collects their [`Snapshot`]s and turns them into the three
+//! The simulator records into its own [`dsm_telemetry`] facade (real
+//! when the `telemetry` feature is on, a zero-sized stub otherwise); the
+//! detector-side DDV traffic is read from the collector's own counters
+//! after the run. This module is the always-compiled layer that collects
+//! the [`Snapshot`] and turns it into the three
 //! artifact forms every experiment binary can emit via
 //! `--telemetry-out <dir>`:
 //!

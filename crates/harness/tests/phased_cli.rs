@@ -1,7 +1,8 @@
 //! Experiment-binary command lines: the `phased --smoke` profile runs a
 //! fleet with its documented defaults, `topologies --smoke <layout>` (the CI
-//! topology matrix's shape) runs, and a bad value given to any binary is a
-//! usage error with exit status 2 before any work starts, never a panic.
+//! topology matrix's shape) runs, and a bad value or an unknown flag given
+//! to any binary is a usage error with exit status 2 before any work
+//! starts, never a panic.
 
 use std::process::{Command, Output};
 
@@ -59,7 +60,7 @@ fn topologies_smoke_runs_one_layout() {
 #[test]
 fn bad_flag_values_exit_2_with_usage() {
     let dir = scratch_dir("bad");
-    let cases: [(&str, &[&str]); 15] = [
+    let cases: [(&str, &[&str]); 20] = [
         (env!("CARGO_BIN_EXE_phased"), &["--tenants", "x"]),
         (env!("CARGO_BIN_EXE_phased"), &["--smoke", "--seed"]),
         (env!("CARGO_BIN_EXE_topologies"), &["--smoke"]),
@@ -75,6 +76,12 @@ fn bad_flag_values_exit_2_with_usage() {
         (env!("CARGO_BIN_EXE_fig2"), &["--jobs", "x"]),
         (env!("CARGO_BIN_EXE_fig2"), &["-j"]),
         (env!("CARGO_BIN_EXE_fig2"), &["--telemetry-out"]),
+        // Flags the binary's usage does not list.
+        (env!("CARGO_BIN_EXE_tables"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_overhead"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_diagnose"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_phased"), &["--smoke", "--tenant", "8"]),
+        (env!("CARGO_BIN_EXE_fig2"), &["--scael", "paper"]),
     ];
     for (bin, args) in cases {
         let out = run(bin, args, &dir);

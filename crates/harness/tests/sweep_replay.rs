@@ -14,6 +14,7 @@
 use dsm_analysis::cov::{identifier_cov, phase_count};
 use dsm_analysis::curve::{CovCurve, CurvePoint};
 use dsm_harness::experiment::ExperimentConfig;
+use dsm_harness::parallel::Machine;
 use dsm_harness::sweep::{
     ablated_dds, ablation_curve, bbv_curve, bbv_curve_cap, bbv_ddv_curve, bbv_ddv_curve_cap,
     branch_count_curve, log_spaced, vector_ddv_curve, working_set_curve, DdsAblation,
@@ -27,12 +28,19 @@ use dsm_phase::working_set::WsSignature;
 use dsm_phase::{
     ClassifierBank, DistanceTriangle, FootprintTable, IndexReplay, DEFAULT_FOOTPRINT_VECTORS,
 };
+use dsm_sim::config::SystemConfig;
+use dsm_sim::network::Network;
 use dsm_sim::util::splitmix64;
 use dsm_workloads::App;
 
 // ---------------------------------------------------------------------------
 // Oracles: the direct classifiers
 // ---------------------------------------------------------------------------
+
+/// DDV state over the paper's `n`-node hypercube (`1 + hops` distances).
+fn hypercube(n: usize) -> DdvState {
+    DdvState::new(n, Network::new(SystemConfig::paper(n).network, n).distance_matrix())
+}
 
 /// BBV+DDV classification with an externally recomputed DDS per interval
 /// (the ablations: `C ≡ 1`, `D ≡ 1`, frequency only).
@@ -305,7 +313,7 @@ const DDS_THRESHOLDS: [f64; 5] = [0.0, 5e-3, 0.1, 0.5, 1.0];
 #[test]
 fn replay_matches_the_direct_classifiers_on_random_records() {
     let n_procs = 4;
-    let dist = DdvState::for_hypercube(n_procs);
+    let dist = hypercube(n_procs);
     for seed in 1..=6u64 {
         for proc in 0..n_procs {
             let recs = random_records(seed, proc, n_procs, 70);
@@ -478,7 +486,7 @@ fn grid(n_bbv: usize, n_dds: usize) -> Vec<(f64, Option<f64>)> {
 /// Every sweep family on `trace` must equal its oracle curve exactly.
 fn assert_curves_match_oracles(trace: &SystemTrace, what: &str) {
     let t = trace;
-    let dist = DdvState::for_hypercube(t.config.n_procs);
+    let dist = DdvState::new(t.config.n_procs, Machine::default_for(t.config).distance_matrix());
     let cap = DEFAULT_FOOTPRINT_VECTORS;
     let bbv = |c| {
         move |_: usize, r: &[IntervalRecord], b: f64, _: Option<f64>| {
@@ -581,7 +589,7 @@ fn vector_ddv_splits_by_home_mix_and_zero_weight_recovers_bbv() {
         record(&[1.0], &[3, 0, 0, 0], 0.0),
         record(&[1.0], &[0, 0, 0, 3], 0.0),
     ];
-    let dist = DdvState::for_hypercube(4);
+    let dist = hypercube(4);
     let ids = classify_proc_vector_ddv(&recs, dist.dist_row(0), 0.5, 1.0, 32);
     assert_eq!(ids[0], ids[1]);
     assert_ne!(ids[0], ids[2], "home mix must split same-code intervals");

@@ -1,6 +1,7 @@
 //! Feature-on telemetry smoke: one instrumented capture per workload at 2
-//! processors produces a valid Chrome trace with real spans, and the JSONL
-//! metrics dump is byte-identical across two deterministic runs.
+//! processors produces a valid Chrome trace with real spans, the JSONL
+//! metrics dump is byte-identical across two deterministic runs, and the
+//! committed `results/telemetry` artefacts are what an export writes today.
 //!
 //! Compiled only with `--features telemetry`; the CI `telemetry-on` job
 //! runs it.
@@ -68,4 +69,25 @@ fn metrics_dump_is_byte_identical_across_runs() {
         .expect("l2 miss counter in dump");
     let v = parse(line).unwrap();
     assert_eq!(v.get("value").unwrap().as_f64(), Some(l2 as f64));
+}
+
+#[test]
+fn committed_telemetry_artefacts_match_a_fresh_export() {
+    let config = ExperimentConfig::test(App::Lu, 2);
+    let cap = capture_with_telemetry(config);
+    let dir = std::env::temp_dir().join(format!("dsm-telem-committed-{}", std::process::id()));
+    let paths = export_run(&dir, &config.label(), &cap.snapshot).expect("export");
+    let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/telemetry");
+    for fresh in &paths {
+        let name = fresh.file_name().expect("artefact file name");
+        let want = std::fs::read(committed.join(name)).expect("read committed artefact");
+        let got = std::fs::read(fresh).expect("read fresh artefact");
+        assert!(
+            got == want,
+            "results/telemetry/{} is stale: regenerate it with \
+             `cargo run --release --features telemetry --example telemetry_trace`",
+            name.to_string_lossy()
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -26,9 +26,9 @@ use std::collections::HashMap;
 use dsm_diagnose::{Diagnosis, NodeTelemetry};
 use dsm_phase::signature::IntervalSignature;
 use dsm_phase::ClassifiedInterval;
-use dsm_telemetry::{MetricsRegistry, Snapshot, SpanSink};
+use dsm_telemetry::{MetricsRegistry, NameId, Snapshot, SpanSink};
 
-use crate::tenant::{TenantConfig, TenantId, TenantProbes, TenantState, TenantStats, TenantSummary};
+use crate::tenant::{TenantConfig, TenantId, TenantState, TenantStats, TenantSummary};
 
 /// Server sizing and policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,9 +46,10 @@ pub struct ServeConfig {
     pub batch_size: usize,
     /// Admission bound on concurrently live tenants.
     pub max_tenants: usize,
-    /// Register per-tenant counters/gauges/histograms under
-    /// `serve/tenant/<id>/...`. Costs registry space per tenant; off for
-    /// large fleets, on for debugging a few tenants.
+    /// Add each live tenant's series to
+    /// [`telemetry_snapshot`](PhaseServer::telemetry_snapshot) under
+    /// `serve/tenant/<id>/...`, read from the tenant's own accounting at
+    /// snapshot time. Off for large fleets, on for debugging a few tenants.
     pub per_tenant_metrics: bool,
     /// Cross-node diagnosis window in intervals per node; `0` disables the
     /// per-tenant [`DiagnosisSink`](dsm_diagnose::DiagnosisSink). The sink
@@ -137,31 +138,29 @@ impl std::fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
-/// One tenant shard: a slab of tenant slots (freelist-reused), its own
-/// metrics registry and span track, and the shard's latency samples.
+/// One tenant shard: a slab of tenant slots (freelist-reused), its span
+/// track, and the shard's latency samples.
 #[derive(Debug)]
 struct Shard {
     slots: Vec<Option<TenantState>>,
     free: Vec<usize>,
-    reg: MetricsRegistry,
     spans: SpanSink,
+    /// The `"batch"` span name, interned once.
+    batch_span: NameId,
     /// Ingest-to-classify latencies in ticks, in classification order.
     latencies: Vec<u64>,
 }
 
 impl Shard {
     fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            free: Vec::new(),
-            reg: MetricsRegistry::new(),
-            spans: SpanSink::new(1, dsm_telemetry::DEFAULT_RING_CAPACITY),
-            latencies: Vec::new(),
-        }
+        let mut spans = SpanSink::new(1, dsm_telemetry::DEFAULT_RING_CAPACITY);
+        let batch_span = spans.intern("batch");
+        Self { slots: Vec::new(), free: Vec::new(), spans, batch_span, latencies: Vec::new() }
     }
 
     /// Classify up to `batch_size` queued signatures for every tenant in
-    /// this shard, in slot order. Returns the number classified.
+    /// this shard, in slot order, and record the tick's `batch` span.
+    /// Returns the number classified.
     fn run_batch(&mut self, tick: u64, batch_size: usize, output_capacity: usize) -> u64 {
         let mut classified = 0u64;
         for slot in self.slots.iter_mut().flatten() {
@@ -178,26 +177,17 @@ impl Shard {
                 let c = slot.bank.classify_signature(&sig);
                 if let Some(d) = slot.diag.as_mut() {
                     d.observe(&c);
-                    if let Some(p) = slot.probes {
-                        self.reg.add(p.diag_observed, 1);
-                        self.reg.set(p.diag_realigns, d.realigns() as f64);
-                    }
                 }
                 slot.output.push_back(c);
                 slot.stats.classified += 1;
                 slot.stats.output_high_water =
                     slot.stats.output_high_water.max(slot.output.len() as u64);
-                let latency = tick - arrival;
-                self.latencies.push(latency);
-                if let Some(p) = slot.probes {
-                    self.reg.add(p.classified, 1);
-                    self.reg.record(p.latency, latency);
-                    self.reg.set(p.queue_depth, slot.queue.len() as f64);
-                }
+                self.latencies.push(tick - arrival);
                 done += 1;
             }
             classified += done as u64;
         }
+        self.spans.record(0, self.batch_span, tick, classified);
         classified
     }
 }
@@ -294,11 +284,7 @@ impl PhaseServer {
         self.next_id += 1;
         let shard_ix = (id.0 % self.cfg.shards as u64) as usize;
         let shard = &mut self.shards[shard_ix];
-        let probes = self
-            .cfg
-            .per_tenant_metrics
-            .then(|| TenantProbes::register(&mut shard.reg, id));
-        let state = TenantState::new(id, cfg, probes, self.cfg.diagnose_window);
+        let state = TenantState::new(id, cfg, self.cfg.diagnose_window);
         let slot = match shard.free.pop() {
             Some(s) => {
                 shard.slots[s] = Some(state);
@@ -309,7 +295,6 @@ impl PhaseServer {
                 shard.slots.len() - 1
             }
         };
-        shard.reg.counter_add("serve/admitted", 1);
         self.dir.insert(id.0, (shard_ix, slot));
         Ok(id)
     }
@@ -343,24 +328,14 @@ impl PhaseServer {
             return Err(ServeError::NonFinite { tenant: id, what: "dds" });
         }
         t.stats.offered += 1;
-        if let Some(p) = t.probes {
-            shard.reg.add(p.offered, 1);
-        }
         if t.queue.len() >= queue_capacity {
             t.stats.rejected += 1;
-            if let Some(p) = t.probes {
-                shard.reg.add(p.busy, 1);
-            }
-            shard.reg.counter_add("serve/busy", 1);
             return Ok(Ingest::Busy);
         }
         t.queue.push_back((tick, sig));
         let depth = t.queue.len();
         t.stats.accepted += 1;
         t.stats.queue_high_water = t.stats.queue_high_water.max(depth as u64);
-        if let Some(p) = t.probes {
-            shard.reg.set(p.queue_depth, depth as f64);
-        }
         Ok(Ingest::Enqueued { depth })
     }
 
@@ -372,10 +347,7 @@ impl PhaseServer {
         let (batch, out_cap) = (self.cfg.batch_size, self.cfg.output_capacity);
         let mut classified = 0u64;
         for shard in &mut self.shards {
-            let n = shard.run_batch(tick, batch, out_cap);
-            let name = shard.spans.intern("batch");
-            shard.spans.record(0, name, tick, n);
-            classified += n;
+            classified += shard.run_batch(tick, batch, out_cap);
         }
         classified
     }
@@ -401,12 +373,7 @@ impl PhaseServer {
                     scope.spawn(move || {
                         shards
                             .iter_mut()
-                            .map(|s| {
-                                let n = s.run_batch(tick, batch, out_cap);
-                                let name = s.spans.intern("batch");
-                                s.spans.record(0, name, tick, n);
-                                n
-                            })
+                            .map(|s| s.run_batch(tick, batch, out_cap))
                             .collect::<Vec<u64>>()
                     })
                 })
@@ -437,26 +404,20 @@ impl PhaseServer {
     /// Run the cross-node diagnosis over a tenant's retained window.
     /// `Ok(None)` when the server runs with `diagnose_window == 0`;
     /// `telemetry`, when supplied, must be indexed by the tenant's node
-    /// (proc) ids. Also refreshes the tenant's
-    /// `serve/tenant/<id>/diagnose/outliers` gauge.
+    /// (proc) ids.
     pub fn tenant_diagnosis(
-        &mut self,
+        &self,
         id: TenantId,
         telemetry: Option<&[NodeTelemetry]>,
     ) -> Result<Option<TenantDiagnosis>, ServeError> {
-        let tick = self.tick;
-        let (shard, slot) = self.tenant_mut(id)?;
-        let t = shard.slots[slot].as_mut().expect("directory points at live slot");
+        let t = self.tenant(id).ok_or(ServeError::UnknownTenant(id))?;
         let Some(d) = t.diag.as_ref() else {
             return Ok(None);
         };
         let diagnosis = d.diagnose(telemetry);
-        if let Some(p) = t.probes {
-            shard.reg.set(p.diag_outliers, diagnosis.outliers.len() as f64);
-        }
         Ok(Some(TenantDiagnosis {
             tenant: id,
-            tick,
+            tick: self.tick,
             window: d.window(),
             observed: d.observed(),
             realigns: d.realigns(),
@@ -464,16 +425,24 @@ impl PhaseServer {
         }))
     }
 
+    fn tenant(&self, id: TenantId) -> Option<&TenantState> {
+        let &(shard, slot) = self.dir.get(&id.0)?;
+        self.shards[shard].slots[slot].as_ref()
+    }
+
+    /// Live tenants in shard and slot order.
+    fn live(&self) -> impl Iterator<Item = &TenantState> {
+        self.shards.iter().flat_map(|s| s.slots.iter().flatten())
+    }
+
     /// Current ingest-queue depth of a tenant.
     pub fn queue_depth(&self, id: TenantId) -> Option<usize> {
-        let &(shard, slot) = self.dir.get(&id.0)?;
-        Some(self.shards[shard].slots[slot].as_ref()?.queue.len())
+        Some(self.tenant(id)?.queue.len())
     }
 
     /// A tenant's accounting so far.
     pub fn stats(&self, id: TenantId) -> Option<TenantStats> {
-        let &(shard, slot) = self.dir.get(&id.0)?;
-        Some(self.shards[shard].slots[slot].as_ref()?.stats)
+        Some(self.tenant(id)?.stats)
     }
 
     /// Evict a tenant, releasing its slot and folding its accounting into
@@ -484,7 +453,6 @@ impl PhaseServer {
         let shard = &mut self.shards[shard_ix];
         let t = shard.slots[slot].take().expect("directory points at live slot");
         shard.free.push(slot);
-        shard.reg.counter_add("serve/evicted", 1);
         self.retired.absorb(&t.stats);
         self.retired_tenants += 1;
         Some(TenantSummary {
@@ -499,11 +467,7 @@ impl PhaseServer {
     /// Footprint-table capacity resident across live tenants (the churn
     /// tests' leak signal: evicting a tenant must release its share).
     pub fn resident_footprint_vectors(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.slots.iter().flatten())
-            .map(|t| t.bank.footprint_capacity())
-            .sum()
+        self.live().map(|t| t.bank.footprint_capacity()).sum()
     }
 
     /// Ingest-to-classify latency percentiles in ticks over every
@@ -528,7 +492,7 @@ impl PhaseServer {
     /// Aggregate accounting across live and retired tenants.
     pub fn totals(&self) -> TenantStats {
         let mut totals = self.retired;
-        for t in self.shards.iter().flat_map(|s| s.slots.iter().flatten()) {
+        for t in self.live() {
             totals.absorb(&t.stats);
         }
         totals
@@ -543,33 +507,43 @@ impl PhaseServer {
             retired_tenants: self.retired_tenants,
             totals: self.totals(),
             resident_footprint_vectors: self.resident_footprint_vectors(),
-            max_queue_depth: self
-                .shards
-                .iter()
-                .flat_map(|s| s.slots.iter().flatten())
-                .map(|t| t.queue.len())
-                .max()
-                .unwrap_or(0),
+            max_queue_depth: self.live().map(|t| t.queue.len()).max().unwrap_or(0),
             latency_ticks: (p[0], p[1], p[2]),
         }
     }
 
-    /// Merged telemetry: shard registries absorbed in shard order plus the
-    /// server-level totals, and one span track per shard.
+    /// The server's metrics, derived at call time from the accounting it
+    /// keeps anyway (no metric is counted on the ingest or batch path), and
+    /// one span track per shard. With
+    /// [`per_tenant_metrics`](ServeConfig::per_tenant_metrics) each live
+    /// tenant adds its series under `serve/tenant/<id>/`.
     pub fn telemetry_snapshot(&self) -> Snapshot {
         let mut reg = MetricsRegistry::new();
-        for shard in &self.shards {
-            reg.absorb(&shard.reg.samples());
-        }
         let totals = self.totals();
+        let live = self.dir.len() as u64;
+        reg.counter_add("serve/admitted", live + self.retired_tenants);
+        reg.counter_add("serve/evicted", self.retired_tenants);
         reg.counter_add("serve/offered", totals.offered);
         reg.counter_add("serve/accepted", totals.accepted);
         reg.counter_add("serve/rejected", totals.rejected);
         reg.counter_add("serve/classified", totals.classified);
         reg.counter_add("serve/delivered", totals.delivered);
         reg.counter_add("serve/output_stalls", totals.output_stalls);
-        reg.gauge_set("serve/live_tenants", self.dir.len() as f64);
+        reg.gauge_set("serve/live_tenants", live as f64);
         reg.gauge_set("serve/resident_footprint_vectors", self.resident_footprint_vectors() as f64);
+        if self.cfg.per_tenant_metrics {
+            for t in self.live() {
+                let name = |metric: &str| format!("serve/tenant/{}/{metric}", t.id.0);
+                reg.counter_add(&name("offered"), t.stats.offered);
+                reg.counter_add(&name("busy"), t.stats.rejected);
+                reg.counter_add(&name("classified"), t.stats.classified);
+                reg.gauge_set(&name("queue_depth"), t.queue.len() as f64);
+                if let Some(d) = &t.diag {
+                    reg.counter_add(&name("diagnose/observed"), d.observed());
+                    reg.gauge_set(&name("diagnose/realigns"), d.realigns() as f64);
+                }
+            }
+        }
         let mut tracks = Vec::new();
         for (i, shard) in self.shards.iter().enumerate() {
             let mut t = shard.spans.snapshot_tracks();
@@ -855,7 +829,10 @@ mod tests {
         };
         let offered = get(&format!("serve/tenant/{}/offered", t.0));
         assert_eq!(offered.value, dsm_telemetry::MetricValue::Counter(1));
-        get(&format!("serve/tenant/{}/latency_ticks", t.0));
+        assert_eq!(
+            get(&format!("serve/tenant/{}/queue_depth", t.0)).value,
+            dsm_telemetry::MetricValue::Gauge(0.0)
+        );
         assert_eq!(get("serve/classified").value, dsm_telemetry::MetricValue::Counter(1));
     }
 }

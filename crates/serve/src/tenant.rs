@@ -9,7 +9,6 @@ use dsm_diagnose::{DiagnoseConfig, DiagnosisSink};
 use dsm_phase::detector::{DetectorMode, Thresholds};
 use dsm_phase::signature::{ClassifierBank, IntervalSignature};
 use dsm_phase::ClassifiedInterval;
-use dsm_telemetry::{CounterId, GaugeId, HistId, MetricsRegistry};
 
 /// Opaque tenant handle. Ids are allocated monotonically by the server and
 /// never reused, so a stale handle to an evicted tenant can only miss — it
@@ -110,43 +109,6 @@ pub struct TenantSummary {
     pub footprint_vectors: usize,
 }
 
-/// Per-tenant metric ids, registered once at admit under
-/// `serve/tenant/<id>/...` via the scoped registry (only when the server is
-/// configured with `per_tenant_metrics`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TenantProbes {
-    pub offered: CounterId,
-    pub classified: CounterId,
-    pub busy: CounterId,
-    pub queue_depth: GaugeId,
-    pub latency: HistId,
-    /// Intervals the diagnosis sink has observed
-    /// (`serve/tenant/<id>/diagnose/observed`).
-    pub diag_observed: CounterId,
-    /// Window re-anchors after a non-consecutive interval index — zero on a
-    /// correct producer (`serve/tenant/<id>/diagnose/realigns`).
-    pub diag_realigns: GaugeId,
-    /// Outliers in the most recent on-demand diagnosis
-    /// (`serve/tenant/<id>/diagnose/outliers`).
-    pub diag_outliers: GaugeId,
-}
-
-impl TenantProbes {
-    pub(crate) fn register(reg: &mut MetricsRegistry, id: TenantId) -> Self {
-        let mut scope = reg.scoped(&format!("serve/tenant/{}", id.0));
-        Self {
-            offered: scope.counter("offered"),
-            classified: scope.counter("classified"),
-            busy: scope.counter("busy"),
-            queue_depth: scope.gauge("queue_depth"),
-            latency: scope.histogram("latency_ticks"),
-            diag_observed: scope.counter("diagnose/observed"),
-            diag_realigns: scope.gauge("diagnose/realigns"),
-            diag_outliers: scope.gauge("diagnose/outliers"),
-        }
-    }
-}
-
 /// A live tenant: its bank, its bounded queues, and its accounting.
 #[derive(Debug)]
 pub(crate) struct TenantState {
@@ -160,7 +122,6 @@ pub(crate) struct TenantState {
     /// `output_capacity`.
     pub output: VecDeque<ClassifiedInterval>,
     pub stats: TenantStats,
-    pub probes: Option<TenantProbes>,
     /// Cross-node similarity state, fed at classification time (never from
     /// the drain path, so a stalled consumer cannot skew the window). `None`
     /// when the server runs with `diagnose_window == 0`.
@@ -168,12 +129,7 @@ pub(crate) struct TenantState {
 }
 
 impl TenantState {
-    pub(crate) fn new(
-        id: TenantId,
-        cfg: TenantConfig,
-        probes: Option<TenantProbes>,
-        diagnose_window: usize,
-    ) -> Self {
+    pub(crate) fn new(id: TenantId, cfg: TenantConfig, diagnose_window: usize) -> Self {
         Self {
             id,
             cfg,
@@ -186,7 +142,6 @@ impl TenantState {
             queue: VecDeque::new(),
             output: VecDeque::new(),
             stats: TenantStats::default(),
-            probes,
             diag: (diagnose_window > 0)
                 .then(|| DiagnosisSink::new(cfg.n_procs, diagnose_window, DiagnoseConfig::default())),
         }

@@ -135,10 +135,6 @@ fn tenant_diagnosis_surfaces_through_the_api_and_metrics() {
         get(format!("serve/tenant/{}/diagnose/realigns", t.0)),
         dsm_telemetry::MetricValue::Gauge(0.0)
     );
-    assert_eq!(
-        get(format!("serve/tenant/{}/diagnose/outliers", t.0)),
-        dsm_telemetry::MetricValue::Gauge(1.0)
-    );
 }
 
 #[test]

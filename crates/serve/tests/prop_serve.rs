@@ -8,7 +8,8 @@
 //! 2. **Backpressure conservation** — `accepted + rejected == offered`,
 //!    and every accepted signature is accounted for at eviction as
 //!    classified-or-pending, every classification as delivered-or-
-//!    undelivered. Nothing is ever dropped silently.
+//!    undelivered. Nothing is ever dropped silently, and the telemetry
+//!    snapshot reports the same books.
 //! 3. **Determinism** — a fixed seed and schedule reproduce byte-identical
 //!    outputs, reports, and latency percentiles.
 
@@ -17,6 +18,7 @@ use proptest::prelude::*;
 use dsm_phase::detector::{DetectorMode, Thresholds};
 use dsm_phase::ClassifiedInterval;
 use dsm_serve::{Ingest, PhaseServer, ServeConfig, SynthStream, TenantConfig, TenantId};
+use dsm_telemetry::MetricValue;
 
 const THR: Thresholds = Thresholds { bbv: 0.4, dds: 0.25 };
 
@@ -112,61 +114,129 @@ proptest! {
     }
 
     /// Offered = accepted + rejected; accepted = classified + pending;
-    /// classified = delivered + undelivered. Checked mid-flight (without
-    /// retries, Busy outcomes stay rejected) and at eviction.
+    /// classified = delivered + undelivered — over a random sequence of
+    /// admits, offers, batches, drains and evicts (without retries, Busy
+    /// outcomes stay rejected). After every step the telemetry snapshot,
+    /// which the server derives from its own books, agrees with `report()`,
+    /// the admit/evict counts and, per live tenant, `stats` and
+    /// `queue_depth`.
     #[test]
     fn backpressure_conservation(
-        fleet in arb_fleet(),
+        ops in prop::collection::vec((0u8..5, 0usize..8, 0u64..1_000), 1..160),
         queue_capacity in 1usize..5,
-        batches_every in 1usize..8,
+        per_tenant_metrics in 0u8..2,
+        diagnose in 0u8..2,
     ) {
         let cfg = ServeConfig {
             queue_capacity,
             output_capacity: 4,
             batch_size: 2,
+            per_tenant_metrics: per_tenant_metrics == 1,
+            diagnose_window: if diagnose == 1 { 8 } else { 0 },
             ..ServeConfig::default()
         };
         let mut srv = PhaseServer::new(cfg);
-        let ids: Vec<TenantId> =
-            fleet.iter().map(|_| srv.admit(tenant_cfg()).unwrap()).collect();
-        let mut offered = vec![0u64; fleet.len()];
-        let mut accepted = vec![0u64; fleet.len()];
-        let mut rejected = vec![0u64; fleet.len()];
-        let mut delivered = vec![0u64; fleet.len()];
-        let mut sent = 0usize;
-        for (k, &(seed, len)) in fleet.iter().enumerate() {
-            let stream = SynthStream::new(seed, 1, 32);
-            for i in 0..len as u64 {
-                offered[k] += 1;
-                match srv.offer(ids[k], stream.signature(0, i)).unwrap() {
-                    Ingest::Enqueued { .. } => accepted[k] += 1,
-                    Ingest::Busy => rejected[k] += 1, // caller drops it: still counted
+        // Live tenants in admission order: id, stream, next index and the
+        // caller-side tally of offered/accepted/rejected/delivered.
+        let mut live: Vec<(TenantId, SynthStream, u64, [u64; 4])> = Vec::new();
+        let (mut admitted, mut evicted, mut total_pending) = (0u64, 0u64, 0u64);
+        for (op, pick, seed) in ops {
+            let k = pick % live.len().max(1);
+            match op {
+                0 => {
+                    let id = srv.admit(tenant_cfg()).unwrap();
+                    live.push((id, SynthStream::new(seed, 1, 32), 0, [0; 4]));
+                    admitted += 1;
                 }
-                sent += 1;
-                if sent.is_multiple_of(batches_every) {
-                    srv.run_batch();
-                    // Drain only even tenants: odd ones model slow consumers.
-                    for (j, &id) in ids.iter().enumerate().filter(|(j, _)| j % 2 == 0) {
-                        delivered[j] += srv.drain_output(id, usize::MAX).unwrap().len() as u64;
+                1 if !live.is_empty() => {
+                    let (id, stream, next, tally) = &mut live[k];
+                    tally[0] += 1;
+                    match srv.offer(*id, stream.signature(0, *next)).unwrap() {
+                        Ingest::Enqueued { .. } => tally[1] += 1,
+                        Ingest::Busy => tally[2] += 1, // caller drops it: still counted
                     }
+                    *next += 1;
+                }
+                2 => {
+                    srv.run_batch();
+                }
+                3 if !live.is_empty() => {
+                    let (id, _, _, tally) = &mut live[k];
+                    tally[3] += srv.drain_output(*id, usize::MAX).unwrap().len() as u64;
+                }
+                4 if !live.is_empty() => {
+                    let (id, _, _, tally) = live.remove(k);
+                    let s = srv.stats(id).unwrap();
+                    prop_assert_eq!([s.offered, s.accepted, s.rejected, s.delivered], tally);
+                    prop_assert_eq!(s.accepted + s.rejected, s.offered, "conservation violated");
+                    prop_assert!(s.queue_high_water <= queue_capacity as u64);
+                    let summary = srv.evict(id).unwrap();
+                    // Every accepted signature is classified or explicitly
+                    // pending; every classification delivered or explicitly
+                    // undelivered.
+                    prop_assert_eq!(summary.stats.classified + summary.pending, s.accepted);
+                    prop_assert_eq!(
+                        summary.stats.delivered + summary.undelivered,
+                        summary.stats.classified
+                    );
+                    total_pending += summary.pending;
+                    evicted += 1;
+                }
+                _ => {}
+            }
+
+            let snap = srv.telemetry_snapshot();
+            let metric = |name: &str| snap.metrics.iter().find(|m| m.name == name).map(|m| &m.value);
+            let counter = |name: &str| match metric(name) {
+                Some(MetricValue::Counter(v)) => Some(*v),
+                _ => None,
+            };
+            let gauge = |name: &str| match metric(name) {
+                Some(MetricValue::Gauge(v)) => Some(*v),
+                _ => None,
+            };
+            let report = srv.report();
+            let t = report.totals;
+            prop_assert_eq!(counter("serve/admitted"), Some(admitted));
+            prop_assert_eq!(counter("serve/evicted"), Some(evicted));
+            prop_assert_eq!(counter("serve/offered"), Some(t.offered));
+            prop_assert_eq!(counter("serve/accepted"), Some(t.accepted));
+            prop_assert_eq!(counter("serve/rejected"), Some(t.rejected));
+            prop_assert_eq!(counter("serve/classified"), Some(t.classified));
+            prop_assert_eq!(counter("serve/delivered"), Some(t.delivered));
+            prop_assert_eq!(counter("serve/output_stalls"), Some(t.output_stalls));
+            prop_assert_eq!(gauge("serve/live_tenants"), Some(report.live_tenants as f64));
+            prop_assert_eq!(
+                gauge("serve/resident_footprint_vectors"),
+                Some(report.resident_footprint_vectors as f64)
+            );
+            prop_assert_eq!(report.live_tenants as u64 + report.retired_tenants, admitted);
+            for (id, _, _, tally) in &live {
+                let s = srv.stats(*id).unwrap();
+                prop_assert_eq!([s.offered, s.accepted, s.rejected, s.delivered], *tally);
+                let series = |m: &str| format!("serve/tenant/{}/{m}", id.0);
+                if cfg.per_tenant_metrics {
+                    prop_assert_eq!(counter(&series("offered")), Some(s.offered));
+                    prop_assert_eq!(counter(&series("busy")), Some(s.rejected));
+                    prop_assert_eq!(counter(&series("classified")), Some(s.classified));
+                    let depth = srv.queue_depth(*id).unwrap() as f64;
+                    prop_assert_eq!(gauge(&series("queue_depth")), Some(depth));
+                    let diag = srv.tenant_diagnosis(*id, None).unwrap();
+                    prop_assert_eq!(
+                        counter(&series("diagnose/observed")),
+                        diag.as_ref().map(|d| d.observed)
+                    );
+                    prop_assert_eq!(
+                        gauge(&series("diagnose/realigns")),
+                        diag.as_ref().map(|d| d.realigns as f64)
+                    );
+                } else {
+                    prop_assert_eq!(counter(&series("offered")), None);
                 }
             }
         }
-        let mut total_pending = 0u64;
-        for (k, &id) in ids.iter().enumerate() {
-            let s = srv.stats(id).unwrap();
-            prop_assert_eq!(s.offered, offered[k]);
-            prop_assert_eq!(s.accepted + s.rejected, s.offered, "conservation violated");
-            prop_assert_eq!(s.accepted, accepted[k]);
-            prop_assert_eq!(s.rejected, rejected[k]);
-            prop_assert!(s.queue_high_water <= queue_capacity as u64);
-            let summary = srv.evict(id).unwrap();
-            // Every accepted signature is classified or explicitly pending;
-            // every classification delivered or explicitly undelivered.
-            prop_assert_eq!(summary.stats.classified + summary.pending, s.accepted);
-            prop_assert_eq!(summary.stats.delivered + summary.undelivered, summary.stats.classified);
-            prop_assert_eq!(summary.stats.delivered, delivered[k]);
-            total_pending += summary.pending;
+        for (id, _, _, _) in live {
+            total_pending += srv.evict(id).unwrap().pending;
         }
         prop_assert_eq!(srv.live_tenants(), 0);
         prop_assert_eq!(srv.resident_footprint_vectors(), 0, "evicted state leaked");

@@ -38,14 +38,13 @@ pub mod stub;
 
 pub use metrics::{
     CounterId, GaugeId, HistId, Log2Histogram, MetricSample, MetricValue, MetricsRegistry,
-    ScopedRegistry,
 };
 pub use span::{NameId, Snapshot, SpanEvent, SpanSink, TrackSnapshot, DEFAULT_RING_CAPACITY};
 
 /// The real telemetry facade: a metrics registry plus a span sink.
 ///
 /// One instance is owned by each instrumented component (the simulator's
-/// `System`, the online detector); components expose a [`Snapshot`] that
+/// `System`); components expose a [`Snapshot`] that
 /// the harness merges and exports. See [`stub::Telemetry`] for the
 /// feature-off mirror.
 #[derive(Debug, Clone)]

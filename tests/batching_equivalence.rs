@@ -6,6 +6,7 @@
 
 use dsm_phase_detection::phase::detector::{DetectorGeometry, TraceCollector};
 use dsm_phase_detection::prelude::*;
+use dsm_phase_detection::sim::network::Network;
 
 fn collect(
     app: App,
@@ -14,8 +15,10 @@ fn collect(
 ) -> (dsm_phase_detection::sim::SystemStats, TraceCollector) {
     let cfg = ExperimentConfig::test(app, n_procs);
     let stream = make_stream(app, n_procs, Scale::Test);
-    let collector = TraceCollector::for_hypercube(n_procs, DetectorGeometry::default());
-    let system = System::new(cfg.system_config(), stream, collector);
+    let sys_cfg = cfg.system_config();
+    let dist = Network::new(sys_cfg.network, n_procs).distance_matrix();
+    let collector = TraceCollector::new(n_procs, dist, DetectorGeometry::default());
+    let system = System::new(sys_cfg, stream, collector);
     if batched {
         system.run()
     } else {

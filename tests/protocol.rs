@@ -3,6 +3,7 @@
 //! the interval-scaling rule — plus the scheduler's deadlock diagnostic.
 
 use dsm_phase_detection::prelude::*;
+use dsm_phase_detection::sim::network::Network;
 use dsm_phase_detection::sim::{Event, InstructionStream, NullObserver};
 
 #[test]
@@ -47,7 +48,8 @@ fn contention_vector_dominates_own_frequency_vector() {
 fn dds_matches_recorded_features() {
     // The recorded DDS equals the formula applied to the recorded F, D, C.
     let trace = capture(ExperimentConfig::test(App::Equake, 4));
-    let ddv = DdvState::for_hypercube(4);
+    let dist = Network::new(trace.config.system_config().network, 4).distance_matrix();
+    let ddv = DdvState::new(4, dist);
     for (proc, records) in trace.records.iter().enumerate() {
         for r in records {
             let expect = DdvState::dds_of(&r.fvec, ddv.dist_row(proc), &r.cvec);
